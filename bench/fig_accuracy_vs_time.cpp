@@ -36,7 +36,7 @@ void Run(size_t count, size_t length, size_t queries, size_t k) {
   const std::vector<double> epsilons = {0.0, 0.1, 0.5, 1.0, 2.0, 5.0};
   util::Table table({"method", "mode", "recall@k", "approx_err",
                      "raw_frac", "ssd_s_per_q", "speedup_vs_exact"});
-  for (const std::string& name : EpsilonCapableNames()) {
+  for (const std::string& name : NamesWith(core::Capability::kEpsilon)) {
     auto shared = CreateMethod(name, LeafFor(name, count));
     shared->Build(data);
     const core::MethodTraits traits = shared->traits();
@@ -45,7 +45,7 @@ void Run(size_t count, size_t length, size_t queries, size_t k) {
     // fresh build per sweep: reusing one instance would let every later
     // row ride on the adaptation the exact baseline paid for, overstating
     // the approximate speedups. Immutable methods build once.
-    const bool adaptive = !traits.concurrent_queries;
+    const bool adaptive = !traits.Has(core::Capability::kConcurrentQueries);
 
     auto sweep = [&](const std::string& label, const core::QuerySpec& spec,
                      double exact_seconds) -> double {
@@ -88,11 +88,11 @@ void Run(size_t count, size_t length, size_t queries, size_t k) {
       sweep("eps=" + util::Table::Num(eps, 1),
             core::QuerySpec::Epsilon(k, eps), exact_seconds);
     }
-    if (traits.supports_delta_epsilon) {
+    if (traits.Has(core::Capability::kDeltaEpsilon)) {
       sweep("d-eps=1.0,d=0.1", core::QuerySpec::DeltaEpsilon(k, 1.0, 0.1),
             exact_seconds);
     }
-    if (traits.supports_ng) {
+    if (traits.Has(core::Capability::kNgApprox)) {
       sweep("ng", core::QuerySpec::NgApprox(k), exact_seconds);
     }
   }

@@ -71,7 +71,7 @@ int Run(int argc, char** argv) {
   util::Table table({"method", "query_threads", "query_wall_s", "speedup",
                      "identical"});
   bool all_identical = true;
-  for (const std::string& name : IntraQueryCapableNames()) {
+  for (const std::string& name : NamesWith(core::Capability::kIntraQuery)) {
     // One build per method; the sweep only changes the query-time plan.
     auto method = CreateMethod(name, LeafFor(name, count));
     MethodRun base_run;

@@ -33,14 +33,13 @@ core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
   batch.queries.resize(count);
 
   const core::MethodTraits traits = method->traits();
-  if (threads > 1 && !traits.concurrent_queries) {
-    batch.serial_reason = traits.serial_reason.empty()
-                              ? "method does not support concurrent queries"
-                              : traits.serial_reason;
+  const bool concurrent = traits.Has(core::Capability::kConcurrentQueries);
+  if (threads > 1 && !concurrent) {
+    batch.serial_reason = traits.Reason(core::Capability::kConcurrentQueries);
   }
   // The serial branch also covers an empty workload (a pool of
   // min(threads, 0) workers would be invalid).
-  if (threads <= 1 || !traits.concurrent_queries || count == 0) {
+  if (threads <= 1 || !concurrent || count == 0) {
     batch.threads_used = 1;
     for (size_t q = 0; q < count; ++q) {
       batch.queries[q] = method->Execute(workload.queries[q], spec);
@@ -68,12 +67,6 @@ core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
   return batch;
 }
 
-core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
-                                    const gen::Workload& workload, size_t k,
-                                    size_t threads) {
-  return SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads);
-}
-
 namespace {
 
 /// Folds a batch's per-query answers into the run (shared by the fresh
@@ -81,7 +74,7 @@ namespace {
 void FillRunQueries(core::BatchKnnResult batch, MethodRun* run) {
   run->queries.reserve(batch.queries.size());
   run->nn_dists_sq.reserve(batch.queries.size());
-  for (core::KnnResult& r : batch.queries) {
+  for (core::QueryResult& r : batch.queries) {
     run->queries.push_back(r.stats);
     run->nn_dists_sq.push_back(r.neighbors.front().dist_sq);
   }
@@ -97,7 +90,9 @@ MethodRun RunMethodParallel(core::SearchMethod* method,
   MethodRun run;
   run.method = method->name();
   run.build = method->Build(data);
-  FillRunQueries(SearchKnnBatch(method, workload, k, threads), &run);
+  FillRunQueries(
+      SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads),
+      &run);
   return run;
 }
 
@@ -122,7 +117,9 @@ util::Result<MethodRun> RunMethodFromIndex(core::SearchMethod* method,
   MethodRun run;
   run.method = method->name();
   run.build = opened.value();
-  FillRunQueries(SearchKnnBatch(method, workload, k, threads), &run);
+  FillRunQueries(
+      SearchKnnBatch(method, workload, core::QuerySpec::Knn(k), threads),
+      &run);
   return run;
 }
 

@@ -28,9 +28,9 @@ MethodRun RunMethod(core::SearchMethod* method, const core::Dataset& data,
 
 /// Answers every workload query over an already-built method, executing
 /// the same QuerySpec (k-NN kinds only) for each, running up to `threads`
-/// queries concurrently when the method's traits().concurrent_queries
-/// allows it. Falls back to serial execution (recording the method's
-/// serial_reason) otherwise, so it is safe to call for any method.
+/// queries concurrently when the method's traits() support
+/// kConcurrentQueries. Falls back to serial execution (recording the
+/// refusal reason) otherwise, so it is safe to call for any method.
 /// Results are deterministic and bit-identical to calling Execute
 /// serially: per-query entries stay in workload order and the merged
 /// `total` ledger accumulates in that order regardless of which thread
@@ -39,12 +39,6 @@ MethodRun RunMethod(core::SearchMethod* method, const core::Dataset& data,
 core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
                                     const gen::Workload& workload,
                                     const core::QuerySpec& spec,
-                                    size_t threads);
-
-/// Legacy overload (deprecated): exact k-NN batch, equivalent to passing
-/// QuerySpec::Knn(k).
-core::BatchKnnResult SearchKnnBatch(core::SearchMethod* method,
-                                    const gen::Workload& workload, size_t k,
                                     size_t threads);
 
 /// Parallel counterpart of RunMethod: builds the method on `data`, then

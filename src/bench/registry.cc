@@ -81,42 +81,13 @@ std::vector<std::string> PruningMethodNames() {
   return {"ADS+", "iSAX2+", "DSTree", "SFA", "VA+file"};
 }
 
-namespace {
-
-// Derived from each method's own traits() so the lists can never drift
-// from the support matrix (construction is cheap: no Build happens).
-std::vector<std::string> NamesSupporting(bool core::MethodTraits::* flag) {
+std::vector<std::string> NamesWith(core::Capability capability) {
+  // Construction is cheap: no Build happens.
   std::vector<std::string> names;
   for (const std::string& name : AllMethodNames()) {
-    if (CreateMethod(name)->traits().*flag) names.push_back(name);
+    if (CreateMethod(name)->traits().Has(capability)) names.push_back(name);
   }
   return names;
-}
-
-}  // namespace
-
-std::vector<std::string> NgCapableNames() {
-  return NamesSupporting(&core::MethodTraits::supports_ng);
-}
-
-std::vector<std::string> EpsilonCapableNames() {
-  return NamesSupporting(&core::MethodTraits::supports_epsilon);
-}
-
-std::vector<std::string> PersistentCapableNames() {
-  return NamesSupporting(&core::MethodTraits::supports_persistence);
-}
-
-std::vector<std::string> ShardableNames() {
-  return NamesSupporting(&core::MethodTraits::shardable);
-}
-
-std::vector<std::string> IntraQueryCapableNames() {
-  return NamesSupporting(&core::MethodTraits::intra_query_parallel);
-}
-
-std::vector<std::string> ConcurrentCapableNames() {
-  return NamesSupporting(&core::MethodTraits::concurrent_queries);
 }
 
 std::unique_ptr<core::SearchMethod> CreateShardedMethod(

@@ -28,34 +28,13 @@ std::vector<std::string> BestSixNames();
 /// The five index methods with summarized leaves (TLB/pruning exhibits).
 std::vector<std::string> PruningMethodNames();
 
-/// The four ng-capable trees (Table 1): they support every quality mode of
-/// core::QuerySpec, including the delta-epsilon leaf-visit rule.
-std::vector<std::string> NgCapableNames();
-
-/// The seven index methods whose lower-bounding loops support
-/// epsilon-approximate pruning (everything but the sequential scans).
-std::vector<std::string> EpsilonCapableNames();
-
-/// The methods whose traits advertise persistence: their index can be
-/// built once (`hydra build`), persisted, and reopened by later processes
-/// (Save/Open). The sequential scans are excluded — they have no index
-/// structure to persist.
-std::vector<std::string> PersistentCapableNames();
-
-/// The methods whose traits advertise sharding: they can serve as the
-/// per-shard components of a shard::ShardedIndex (the seven index
-/// methods; the sequential scans have no index partition to build).
-std::vector<std::string> ShardableNames();
-
-/// The methods whose traits advertise intra-query parallelism: their
-/// traversal runs on the shared engine and honors --query-threads (the
-/// five tree methods; scans have no traversal frontier to share).
-std::vector<std::string> IntraQueryCapableNames();
-
-/// The methods whose traits advertise concurrent query answering: `hydra
-/// serve` executes their queries on all --serve-threads workers at once
-/// (others are served too, but with execution serialized).
-std::vector<std::string> ConcurrentCapableNames();
+/// The methods whose traits() support `capability`, in AllMethodNames()
+/// order — derived from each method's own capability table, so the lists
+/// can never drift from the support matrix. For example: kNgApprox and
+/// kDeltaEpsilon are the four ng-capable trees (ADS+, DSTree, iSAX2+,
+/// SFA); kEpsilon, kPersistence, and kSharding the seven index methods;
+/// kConcurrentQueries all but ADS+.
+std::vector<std::string> NamesWith(core::Capability capability);
 
 /// Creates a sharded container over `shards` per-shard instances of the
 /// named method (which must be shardable — the CLI refuses others up

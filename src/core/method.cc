@@ -1,5 +1,6 @@
 #include "core/method.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 
@@ -13,55 +14,107 @@ namespace hydra::core {
 
 namespace {
 
-/// CHECK-validates a spec once per Execute call. User input (CLI flags)
-/// must be validated before a spec is built; reaching these checks is a
-/// programmer error, consistent with the repo's CHECK conventions.
-void CheckSpec(const QuerySpec& spec) {
-  HYDRA_CHECK_MSG(spec.query_threads >= 1,
-                  "query_threads must be >= 1 (1 = serial traversal)");
-  if (spec.kind == QueryKind::kRange) {
-    HYDRA_CHECK_MSG(spec.radius >= 0.0, "range radius must be non-negative");
-    HYDRA_CHECK_MSG(spec.mode == QualityMode::kExact,
-                    "range queries support only the exact mode");
-    HYDRA_CHECK_MSG(!spec.has_budget(),
-                    "range queries do not support execution budgets");
-    return;
-  }
-  HYDRA_CHECK_MSG(spec.k >= 1, "k-NN queries need k >= 1");
-  HYDRA_CHECK_MSG(spec.epsilon >= 0.0 && std::isfinite(spec.epsilon),
-                  "epsilon must be finite and non-negative");
-  HYDRA_CHECK_MSG(spec.delta > 0.0 && spec.delta <= 1.0,
-                  "delta must lie in (0, 1]");
-  HYDRA_CHECK_MSG(spec.max_visited_leaves >= 0 && spec.max_raw_series >= 0,
-                  "budgets must be non-negative (0 = unlimited)");
-  HYDRA_CHECK_MSG(spec.mode != QualityMode::kNgApprox || !spec.has_budget(),
-                  "budgets do not apply to the ng mode (already the minimal "
-                  "one-leaf traversal)");
-}
-
 /// The strongest supported guarantee no weaker than intended: delta-epsilon
 /// falls back to epsilon (same bound, delivered with probability 1) before
 /// falling back to exact; everything else falls back straight to exact.
 QualityMode EffectiveMode(const MethodTraits& traits, QualityMode requested) {
   if (traits.SupportsMode(requested)) return requested;
-  if (requested == QualityMode::kDeltaEpsilon && traits.supports_epsilon) {
+  if (requested == QualityMode::kDeltaEpsilon &&
+      traits.Has(Capability::kEpsilon)) {
     return QualityMode::kEpsilon;
   }
   return QualityMode::kExact;
 }
 
+/// Save/Open's refusal for a method without Capability::kPersistence.
+util::Status PersistenceRefusal(const SearchMethod& method,
+                                const MethodTraits& traits) {
+  return util::Status::Error(
+      method.name() + " does not support a persisted index (" +
+      std::string(traits.Reason(Capability::kPersistence)) + ")");
+}
+
 }  // namespace
+
+// Every capability refused with its generic reason, in Capability order.
+MethodTraits::MethodTraits()
+    : refusals_{"method has no one-path ng descent",
+                "method has no lower bound to relax",
+                "method has no leaf-visit stopping rule",
+                "no leaf-visit budget unit, so a leaf budget could never fire",
+                "method has not been audited for concurrent query execution",
+                "method implements no DoSave/DoOpen hooks",
+                "method has not been audited for sharded execution",
+                "method has not been restructured onto the shared traversal "
+                "engine"} {}
+
+MethodTraits MethodTraits::AllExcept(
+    std::initializer_list<Capability> refused) {
+  MethodTraits traits;
+  for (const Capability capability : kAllCapabilities) {
+    if (std::find(refused.begin(), refused.end(), capability) ==
+        refused.end()) {
+      traits.refusals_[Index(capability)].reset();
+    }
+  }
+  return traits;
+}
+
+bool MethodTraits::SupportsMode(QualityMode mode) const {
+  switch (mode) {
+    case QualityMode::kExact:
+      return true;
+    case QualityMode::kNgApprox:
+      return Has(Capability::kNgApprox);
+    case QualityMode::kEpsilon:
+      return Has(Capability::kEpsilon);
+    case QualityMode::kDeltaEpsilon:
+      return Has(Capability::kDeltaEpsilon);
+  }
+  return false;
+}
 
 std::string ModeFallbackReason(const MethodTraits& traits, QualityMode mode) {
   if (traits.SupportsMode(mode)) return {};
   std::string supported = "exact";
-  if (traits.supports_ng) supported += ", ng";
-  if (traits.supports_epsilon) supported += ", epsilon";
-  if (traits.supports_delta_epsilon) supported += ", delta-epsilon";
+  for (const Capability c : {Capability::kNgApprox, Capability::kEpsilon,
+                             Capability::kDeltaEpsilon}) {
+    if (traits.Has(c)) supported += std::string(", ") + CapabilityName(c);
+  }
   return std::string("method supports modes: ") + supported;
 }
 
-KnnResult SearchMethod::DoSearchKnnNg(SeriesView /*query*/, size_t /*k*/) {
+util::Status ValidateSpec(const QuerySpec& spec) {
+  // Range queries skip the k-NN rules and vice versa; the first violated
+  // rule is reported.
+  const bool range = spec.kind == QueryKind::kRange;
+  const std::pair<bool, const char*> rules[] = {
+      {spec.query_threads >= 1,
+       "query_threads must be >= 1 (1 = serial traversal)"},
+      {!range || (spec.radius >= 0.0 && std::isfinite(spec.radius)),
+       "range radius must be non-negative and finite"},
+      {!range || spec.mode == QualityMode::kExact,
+       "range queries support only the exact mode"},
+      {!range || !spec.has_budget(),
+       "range queries do not support execution budgets"},
+      {range || spec.k >= 1, "k-NN queries need k >= 1"},
+      {range || (spec.epsilon >= 0.0 && std::isfinite(spec.epsilon)),
+       "epsilon must be finite and non-negative"},
+      {range || (spec.delta > 0.0 && spec.delta <= 1.0),
+       "delta must lie in (0, 1]"},
+      {range || (spec.max_visited_leaves >= 0 && spec.max_raw_series >= 0),
+       "budgets must be non-negative (0 = unlimited)"},
+      {range || spec.mode != QualityMode::kNgApprox || !spec.has_budget(),
+       "budgets do not apply to the ng mode (it already visits at most one "
+       "leaf)"},
+  };
+  for (const auto& [ok, message] : rules) {
+    if (!ok) return util::Status::Error(message);
+  }
+  return util::Status::Ok();
+}
+
+QueryResult SearchMethod::DoSearchKnnNg(SeriesView /*query*/, size_t /*k*/) {
   HYDRA_CHECK_MSG(false,
                   "DoSearchKnnNg called on a method whose traits do not "
                   "advertise ng support");
@@ -95,13 +148,8 @@ BuildStats SearchMethod::Build(const Dataset& data) {
 util::Result<int64_t> SearchMethod::Save(const std::string& dir) const {
   HYDRA_CHECK_MSG(built_, "Save requires a built method (call Build first)");
   const MethodTraits method_traits = traits();
-  if (!method_traits.supports_persistence) {
-    return util::Status::Error(
-        name() + " does not support a persisted index (" +
-        (method_traits.persistence_reason.empty()
-             ? "no reason recorded"
-             : method_traits.persistence_reason) +
-        ")");
+  if (!method_traits.Has(Capability::kPersistence)) {
+    return PersistenceRefusal(*this, method_traits);
   }
   io::IndexWriter writer(name(), io::DatasetFingerprint::Of(*built_over_));
   DoSave(&writer);
@@ -120,13 +168,8 @@ util::Result<BuildStats> SearchMethod::Open(const std::string& dir,
                   "Open requires an unbuilt method (never double-open; "
                   "construct a fresh instance instead)");
   const MethodTraits method_traits = traits();
-  if (!method_traits.supports_persistence) {
-    return util::Status::Error(
-        name() + " does not support a persisted index (" +
-        (method_traits.persistence_reason.empty()
-             ? "no reason recorded"
-             : method_traits.persistence_reason) +
-        ")");
+  if (!method_traits.Has(Capability::kPersistence)) {
+    return PersistenceRefusal(*this, method_traits);
   }
   util::WallTimer timer;
   io::IndexReader reader;
@@ -156,8 +199,10 @@ util::Result<BuildStats> SearchMethod::Open(const std::string& dir,
 }
 
 QueryResult SearchMethod::Execute(SeriesView query, const QuerySpec& spec) {
-  CheckSpec(spec);
+  const util::Status valid = ValidateSpec(spec);
+  HYDRA_CHECK_MSG(valid.ok(), valid.message().c_str());
   HYDRA_OBS_SPAN_ARG("execute", "k", spec.k);
+  const MethodTraits method_traits = traits();
   if (spec.kind == QueryKind::kRange) {
     RangePlan plan;
     plan.radius = spec.radius;
@@ -165,19 +210,19 @@ QueryResult SearchMethod::Execute(SeriesView query, const QuerySpec& spec) {
     // bound, so any width is safe — but only engine-backed drivers honor
     // it; everywhere else the request quietly runs serially (the CLI
     // refuses --query-threads on such methods up front).
-    if (traits().intra_query_parallel) plan.query_threads = spec.query_threads;
-    RangeResult range = DoSearchRange(query, plan);
-    QueryResult result{std::move(range.matches), range.stats};
+    if (method_traits.Has(Capability::kIntraQuery)) {
+      plan.query_threads = spec.query_threads;
+    }
+    QueryResult result = DoSearchRange(query, plan);
     result.stats.answer_mode_delivered = QualityMode::kExact;
     return result;
   }
 
-  const MethodTraits method_traits = traits();
   // The honesty contract admits no silently inert knob: a leaf budget on
   // a method with no leaf-visit unit could never fire, so it is refused
-  // here (the CLI pre-validates user input against the same trait).
+  // here (the CLI pre-validates user input against the same capability).
   HYDRA_CHECK_MSG(spec.max_visited_leaves == 0 ||
-                      method_traits.leaf_visit_budget,
+                      method_traits.Has(Capability::kLeafBudget),
                   "max_visited_leaves cannot bind on this method (no "
                   "leaf-visit unit); cap work with max_raw_series");
   const QualityMode effective = EffectiveMode(method_traits, spec.mode);
@@ -200,7 +245,7 @@ QueryResult SearchMethod::Execute(SeriesView query, const QuerySpec& spec) {
     // shrink, delta caps, and explicit budgets make the answer depend on
     // the visit order, so those plans keep the serial traversal and stay
     // bit-identical at any requested width.
-    if (method_traits.intra_query_parallel &&
+    if (method_traits.Has(Capability::kIntraQuery) &&
         effective == QualityMode::kExact && !spec.has_budget()) {
       plan.query_threads = spec.query_threads;
     }

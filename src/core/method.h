@@ -3,8 +3,13 @@
 #ifndef HYDRA_CORE_METHOD_H_
 #define HYDRA_CORE_METHOD_H_
 
+#include <array>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,18 +61,6 @@ struct QueryResult {
   bool budget_fired() const { return stats.budget_exhausted; }
 };
 
-/// Result of one exact k-NN query — the legacy name of QueryResult, kept
-/// for the SearchKnn wrapper and its many callers.
-using KnnResult = QueryResult;
-
-/// Result of an r-range query (Definition 2 of the paper): every series
-/// within *unsquared* distance r of the query, sorted by increasing
-/// distance. Matches carry squared distances like every Neighbor.
-struct RangeResult {
-  std::vector<Neighbor> matches;
-  SearchStats stats;
-};
-
 /// Aggregated answers of a batch of k-NN queries executed over one method
 /// (serially or concurrently). Per-query entries are always kept in
 /// workload order, independent of the thread interleaving that produced
@@ -88,87 +81,108 @@ struct BatchKnnResult {
   std::string serial_reason;
 };
 
-/// Static capabilities a method advertises to the harness.
-struct MethodTraits {
-  /// True when Execute (and the legacy Search* wrappers) on a *built*
-  /// method are safe to call from multiple threads concurrently: query
-  /// answering must not write any state shared between queries (index
-  /// structure, storage cursors, scratch members). Build is never
-  /// concurrent-safe. Defaults to false so new methods opt in explicitly.
-  bool concurrent_queries = false;
-  /// Human-readable reason when concurrent_queries is false (shown by the
-  /// batch engine when it falls back to serial execution).
-  std::string serial_reason;
-  /// Per-mode quality support matrix (Table 1 of the companion study).
-  /// kExact is universal; the flags advertise the approximate modes so
-  /// the harness and CLI can report honest fallbacks instead of silently
-  /// returning exact answers. Sequential scans are exact-only; the four
-  /// ng-capable trees (ADS+, DSTree, iSAX2+, SFA) support every mode;
-  /// M-tree, R*-tree, and VA+file add kEpsilon only.
-  bool supports_ng = false;
-  bool supports_epsilon = false;
-  bool supports_delta_epsilon = false;
-  /// True when the max_visited_leaves budget can actually bind: the
-  /// traversal visits more than one leaf as it searches. False for the
-  /// sequential scans and the VA+file (no leaves at all) and for ADS+
-  /// (SIMS visits exactly one leaf, then refines skip-sequentially), so
-  /// the CLI can refuse a leaf budget that could never fire instead of
-  /// silently ignoring it. The max_raw_series budget binds everywhere.
-  bool leaf_visit_budget = false;
-  /// True when the method implements DoSave/DoOpen: its index can be
-  /// persisted once by `hydra build` and reopened read-only by any number
-  /// of later processes. False for the sequential scans (there is no index
-  /// structure to persist); Save/Open refuse with `persistence_reason`
-  /// instead of silently rebuilding, mirroring the quality-mode honesty
-  /// contract.
-  bool supports_persistence = false;
-  /// Human-readable reason when supports_persistence is false (surfaced by
-  /// the CLI's exit-1 refusal and by `hydra methods`).
-  std::string persistence_reason{};
-  /// True when the method can serve as one shard of a shard::ShardedIndex:
-  /// it builds over any contiguous Dataset slice, addresses series by
-  /// local id, and its k-NN driver honors KnnPlan::shared_bound. True for
-  /// the seven index methods; false for the sequential scans (no index
-  /// partition to build — the batch engine's --threads already
-  /// parallelizes them) and for the sharded container itself (no nesting).
-  bool shardable = false;
-  /// Human-readable reason when shardable is false (surfaced by the CLI's
-  /// --shards refusal and by `hydra methods`).
-  std::string shard_reason{};
-  /// True when the method's traversal drivers run on the shared engine
-  /// (core::BestFirstTraverse / ParallelScan) and honor
-  /// KnnPlan::query_threads / RangePlan::query_threads: N workers drain
-  /// one query's candidate frontier cooperatively, and exact k-NN and
-  /// range answers stay bit-identical to the serial loop at any worker
-  /// count. True for the five tree drivers (ADS+, DSTree, iSAX2+, M-tree,
-  /// SFA); false for the sequential scans (a flat scan has no traversal
-  /// frontier to share — batch --threads already parallelizes them) and
-  /// for the methods not yet restructured onto the engine.
-  bool intra_query_parallel = false;
-  /// Human-readable reason when intra_query_parallel is false (surfaced by
-  /// the CLI's --query-threads refusal and by `hydra methods`).
-  std::string intra_query_reason{};
+/// What a method can do beyond exact k-NN and range search: the quality
+/// modes of Table 1 of the companion study plus the execution capabilities
+/// the harness, CLI, and server gate on. Every method either supports a
+/// capability or refuses it with a human-readable reason.
+enum class Capability : uint8_t {
+  /// ng-approximate k-NN (Definition 7): one root-to-leaf descent. The
+  /// four ng-capable trees (ADS+, DSTree, iSAX2+, SFA) support every mode.
+  kNgApprox,
+  /// epsilon-approximate k-NN: the lower-bounding loop relaxes its bound.
+  /// Every index method; the sequential scans are exact-only.
+  kEpsilon,
+  /// delta-epsilon-approximate k-NN: the leaf-visit stopping rule.
+  kDeltaEpsilon,
+  /// The max_visited_leaves budget can actually bind: the traversal visits
+  /// more than one leaf as it searches. Refused by the scans and VA+file
+  /// (no leaves at all) and ADS+ (SIMS visits exactly one leaf, then
+  /// refines skip-sequentially). The max_raw_series budget binds everywhere.
+  kLeafBudget,
+  /// Execute on a *built* method is safe from multiple threads: query
+  /// answering writes no state shared between queries (index structure,
+  /// storage cursors, scratch members). Build is never concurrent-safe.
+  kConcurrentQueries,
+  /// DoSave/DoOpen: the index is persisted once by `hydra build` and
+  /// reopened read-only by any number of later processes. Save/Open
+  /// refuse with the reason instead of silently rebuilding.
+  kPersistence,
+  /// Usable as one shard of a shard::ShardedIndex: builds over any
+  /// contiguous Dataset slice, addresses series by local id, and its k-NN
+  /// search honors KnnPlan::shared_bound.
+  kSharding,
+  /// The traversals run on the shared engine (BestFirstTraverse /
+  /// ParallelScan) and honor KnnPlan / RangePlan query_threads: exact
+  /// k-NN and range answers stay bit-identical at any worker count.
+  kIntraQuery,
+};
+inline constexpr Capability kAllCapabilities[] = {
+    Capability::kNgApprox,          Capability::kEpsilon,
+    Capability::kDeltaEpsilon,      Capability::kLeafBudget,
+    Capability::kConcurrentQueries, Capability::kPersistence,
+    Capability::kSharding,          Capability::kIntraQuery};
+inline constexpr size_t kCapabilityCount = std::size(kAllCapabilities);
+static_assert(static_cast<size_t>(Capability::kIntraQuery) + 1 ==
+                  kCapabilityCount,
+              "kAllCapabilities lists every Capability in declaration order");
+
+/// Short stable name: the mode names of the CLI flags and the column
+/// headings of `hydra methods`.
+constexpr const char* CapabilityName(Capability capability) {
+  constexpr const char* kNames[] = {
+      "ng",         "epsilon",    "delta-epsilon", "leaf-budget",
+      "concurrent", "persistent", "shardable",     "intra-query"};
+  return kNames[static_cast<size_t>(capability)];
+}
+
+/// The capability table a method advertises: capability -> supported, or
+/// refused with a reason. Reasons are static strings, so building the
+/// table (Execute does on every call) allocates nothing. A
+/// default-constructed table refuses everything with a generic reason —
+/// the conservative "serial, exact-only, no persistence" method. Methods
+/// build theirs as AllExcept({...}) plus Refuse() for their own reasons.
+class MethodTraits {
+ public:
+  MethodTraits();
+
+  /// Supports every capability except `refused`, each refused with its
+  /// generic reason (Refuse() overrides one with a method's own).
+  static MethodTraits AllExcept(std::initializer_list<Capability> refused);
+
+  bool Has(Capability capability) const {
+    return !refusals_[Index(capability)].has_value();
+  }
+  /// Why `capability` is refused; empty when it is supported.
+  std::string_view Reason(Capability capability) const {
+    return refusals_[Index(capability)].value_or(std::string_view{});
+  }
+  /// Marks `capability` refused with `reason` (static storage).
+  MethodTraits& Refuse(Capability capability, std::string_view reason) {
+    refusals_[Index(capability)] = reason;
+    return *this;
+  }
 
   /// Whether queries of mode `mode` run natively (kExact always does).
-  bool SupportsMode(QualityMode mode) const {
-    switch (mode) {
-      case QualityMode::kExact:
-        return true;
-      case QualityMode::kNgApprox:
-        return supports_ng;
-      case QualityMode::kEpsilon:
-        return supports_epsilon;
-      case QualityMode::kDeltaEpsilon:
-        return supports_delta_epsilon;
-    }
-    return false;
+  bool SupportsMode(QualityMode mode) const;
+
+ private:
+  static size_t Index(Capability capability) {
+    return static_cast<size_t>(capability);
   }
+  std::array<std::optional<std::string_view>, kCapabilityCount> refusals_;
 };
 
 /// Empty when the method advertises `mode`; otherwise a human-readable
 /// reason ("method supports modes: exact, epsilon") for CLI errors and
 /// fallback notes.
 std::string ModeFallbackReason(const MethodTraits& traits, QualityMode mode);
+
+/// The QuerySpec shape rules (k >= 1, non-negative finite radius and
+/// epsilon, delta in (0, 1], non-negative budgets, exact unbudgeted range
+/// queries, no budgets under kNgApprox, query_threads >= 1). Execute
+/// CHECK-aborts on a violation (programmer error); the server returns it
+/// to the client as a BAD_QUERY.
+util::Status ValidateSpec(const QuerySpec& spec);
 
 /// Abstract whole-matching similarity search method. Implementations: the
 /// ten methods of the paper (Table 1) behind one contract.
@@ -191,10 +205,7 @@ std::string ModeFallbackReason(const MethodTraits& traits, QualityMode mode);
 /// validates the spec once, resolves the requested quality mode against
 /// traits() (an unsupported mode falls back to the strongest supported
 /// guarantee and the fallback is recorded in the result — never silent),
-/// derives a KnnPlan, and dispatches to the protected Do* hooks. The
-/// legacy SearchKnn / SearchRange / SearchKnnApproximate entry points are
-/// thin wrappers over Execute, kept for existing callers and slated for
-/// removal.
+/// derives a KnnPlan, and dispatches to the protected Do* hooks.
 ///
 /// Lifetime: the Dataset passed to Build / Open must outlive the method;
 /// methods keep a pointer to it as the simulated raw data file.
@@ -207,18 +218,7 @@ class SearchMethod {
 
   /// Capabilities of this method; see MethodTraits. The default is the
   /// conservative "queries must run serially, exact-only, no persistence".
-  virtual MethodTraits traits() const {
-    return {.concurrent_queries = false,
-            .serial_reason = "method has not been audited for concurrent "
-                             "query execution",
-            .persistence_reason =
-                "method implements no DoSave/DoOpen hooks",
-            .shard_reason =
-                "method has not been audited for sharded execution",
-            .intra_query_reason =
-                "method has not been restructured onto the shared "
-                "traversal engine"};
-  }
+  virtual MethodTraits traits() const { return {}; }
 
   /// Builds the index / pre-organizes the data. For sequential scans this
   /// is a no-op that records the dataset pointer. Never concurrent-safe;
@@ -256,32 +256,10 @@ class SearchMethod {
   /// before building a spec), resolves the quality mode against traits(),
   /// and dispatches. The result records the guarantee actually delivered
   /// and whether a budget fired. Non-const because adaptive methods
-  /// (ADS+) refine their structure during query answering; methods whose
-  /// traits().concurrent_queries is true guarantee the call is still safe
+  /// (ADS+) refine their structure during query answering; methods with
+  /// Capability::kConcurrentQueries guarantee the call is still safe
   /// from multiple threads on a built index.
   QueryResult Execute(SeriesView query, const QuerySpec& spec);
-
-  /// Legacy entry point (deprecated): exact k-NN, equivalent to
-  /// Execute(query, QuerySpec::Knn(k)).
-  KnnResult SearchKnn(SeriesView query, size_t k) {
-    return Execute(query, QuerySpec::Knn(k));
-  }
-
-  /// Legacy entry point (deprecated): exact r-range query, equivalent to
-  /// Execute(query, QuerySpec::Range(radius)) (`radius` is in distance
-  /// units, not squared; must be non-negative).
-  RangeResult SearchRange(SeriesView query, double radius) {
-    QueryResult result = Execute(query, QuerySpec::Range(radius));
-    return RangeResult{std::move(result.neighbors), result.stats};
-  }
-
-  /// Legacy entry point (deprecated): ng-approximate k-NN (Definition 7),
-  /// equivalent to Execute(query, QuerySpec::NgApprox(k)). Methods whose
-  /// traits lack ng support answer exactly — the result's delivered()
-  /// reports the fallback.
-  KnnResult SearchKnnApproximate(SeriesView query, size_t k) {
-    return Execute(query, QuerySpec::NgApprox(k));
-  }
 
   /// Index footprint; default is an empty footprint (sequential scans).
   virtual Footprint footprint() const { return {}; }
@@ -300,8 +278,7 @@ class SearchMethod {
   /// Serialization hook: writes the method's own structure into named,
   /// individually checksummed sections of the container (the base Save
   /// wrote the header — method name and dataset fingerprint — already).
-  /// Only called when traits().supports_persistence; the default
-  /// CHECK-aborts so persistent methods must override it.
+  /// Only called with Capability::kPersistence; the default CHECK-aborts so persistent methods must override it.
   virtual void DoSave(io::IndexWriter* writer) const;
 
   /// Deserialization hook: the inverse of DoSave. Must rebuild the exact
@@ -309,8 +286,8 @@ class SearchMethod {
   /// override the constructor's so an index opens correctly regardless of
   /// how this instance was configured — and attach `data` as the raw
   /// file. Returns reader->status(): a truncated or corrupt section
-  /// surfaces as an error, never a crash. Only called when
-  /// traits().supports_persistence, after the base Open validated magic,
+  /// surfaces as an error, never a crash. Only called with
+  /// Capability::kPersistence, after the base Open validated magic,
   /// version, method name, and dataset fingerprint.
   virtual util::Status DoOpen(io::IndexReader* reader, const Dataset& data);
 
@@ -322,19 +299,20 @@ class SearchMethod {
   /// stats.budget_exhausted when an explicit budget stopped them (never
   /// for the delta rule) and leave answer_mode_delivered alone (Execute
   /// owns it). Neighbors are sorted by increasing *squared* distance.
-  virtual KnnResult DoSearchKnn(SeriesView query, const KnnPlan& plan) = 0;
+  virtual QueryResult DoSearchKnn(SeriesView query, const KnnPlan& plan) = 0;
 
   /// ng-approximate hook (Definition 7): traverse one root-to-leaf path,
   /// visiting at most one leaf, and return the best candidates found — no
-  /// error guarantee. Only called when traits().supports_ng; the default
+  /// error guarantee. Only called with Capability::kNgApprox; the default
   /// CHECK-aborts so ng-capable methods must override it.
-  virtual KnnResult DoSearchKnnNg(SeriesView query, size_t k);
+  virtual QueryResult DoSearchKnnNg(SeriesView query, size_t k);
 
   /// Range driver hook. The plan carries the (guaranteed non-negative)
   /// radius plus the traversal width; query_threads is only ever > 1 for
-  /// methods advertising intra_query_parallel, and a width-1 plan must be
-  /// bit-identical to the pre-plan code paths.
-  virtual RangeResult DoSearchRange(SeriesView query,
+  /// methods with Capability::kIntraQuery, and a width-1 plan must be
+  /// bit-identical to the pre-plan code paths. The matches are returned
+  /// in QueryResult::neighbors.
+  virtual QueryResult DoSearchRange(SeriesView query,
                                     const RangePlan& plan) = 0;
 
   /// Component bridges for composite methods (shard::ShardedIndex): a
@@ -344,15 +322,16 @@ class SearchMethod {
   /// The composite owns the contract the public NVI wrappers normally
   /// enforce: components must be built, plans validated, and specs
   /// resolved against traits before any bridge call.
-  static KnnResult ComponentSearchKnn(SearchMethod* component,
-                                      SeriesView query, const KnnPlan& plan) {
+  static QueryResult ComponentSearchKnn(SearchMethod* component,
+                                        SeriesView query,
+                                        const KnnPlan& plan) {
     return component->DoSearchKnn(query, plan);
   }
-  static KnnResult ComponentSearchKnnNg(SearchMethod* component,
-                                        SeriesView query, size_t k) {
+  static QueryResult ComponentSearchKnnNg(SearchMethod* component,
+                                          SeriesView query, size_t k) {
     return component->DoSearchKnnNg(query, k);
   }
-  static RangeResult ComponentSearchRange(SearchMethod* component,
+  static QueryResult ComponentSearchRange(SearchMethod* component,
                                           SeriesView query,
                                           const RangePlan& plan) {
     return component->DoSearchRange(query, plan);

@@ -53,7 +53,7 @@ struct QuerySpec {
   int64_t max_raw_series = 0;
   /// Workers cooperating on this one query's traversal (>= 1; 1 = the
   /// classic serial loop). Only methods advertising
-  /// MethodTraits::intra_query_parallel honor more than one, and only for
+  /// Capability::kIntraQuery honor more than one, and only for
   /// traversals whose answers are visit-order independent: exact
   /// unbudgeted k-NN plans and range queries. Order-dependent disciplines
   /// (epsilon shrink, delta caps, explicit budgets) always run serially so
@@ -122,7 +122,7 @@ struct KnnPlan {
   /// Workers cooperating on this traversal through core::BestFirstTraverse
   /// (see core/traversal.h). Execute sets it above 1 only on "pure exact"
   /// plans (bound_scale == 1, delta == 1, no explicit budgets) of methods
-  /// whose traits advertise intra_query_parallel, because only
+  /// whose traits advertise Capability::kIntraQuery, because only
   /// order-independent answers survive a cooperative traversal
   /// bit-identically. Composes with shared_bound: under a sharded fan-out
   /// every shard's workers attach to the one cross-shard bound.
@@ -180,7 +180,7 @@ struct RangePlan {
   double radius = 0.0;
   /// Workers cooperating on the traversal (>= 1); see
   /// KnnPlan::query_threads. Only set above 1 for methods advertising
-  /// intra_query_parallel.
+  /// Capability::kIntraQuery.
   size_t query_threads = 1;
 };
 

@@ -156,6 +156,15 @@ inline __m128i Load4U16(const uint16_t* p) {
       _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
 }
 
+// _mm256_i32gather_pd(base, idx, 8) with an explicit zero merge source: the
+// unmasked intrinsic merges into _mm256_undefined_pd(), which GCC 12 flags
+// as maybe-uninitialized. The all-ones mask gathers every lane, so the
+// result is the same bits.
+inline __m256d Gather4(const double* base, __m128i idx) {
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx, all, 8);
+}
+
 }  // namespace
 
 double Avx2SumSqDiff(const double* a, const double* b, size_t n) {
@@ -208,8 +217,8 @@ double Avx2IsaxMinDistSq(const double* paa_q, const uint8_t* symbols,
     // symbol/bits combination within the 8-bit domain.
     const __m128i idx = _mm_add_epi32(
         _mm_sub_epi32(_mm_sllv_epi32(ones, vbits), ones), vsym);
-    const __m256d lo = _mm256_i32gather_pd(flat_lower, idx, 8);
-    const __m256d hi = _mm256_i32gather_pd(flat_upper, idx, 8);
+    const __m256d lo = Gather4(flat_lower, idx);
+    const __m256d hi = Gather4(flat_upper, idx);
     const __m256d d = IntervalDist(_mm256_loadu_pd(paa_q + s), lo, hi);
     // Zero the lanes of whole-domain segments (bits == 0): the reference
     // skips them, and adding +0.0 to a nonnegative accumulator is exact —
@@ -245,8 +254,8 @@ double Avx2SfaLbSq(const double* q_dft, const uint8_t* word, size_t dims,
     const __m128i rows =
         _mm_add_epi32(row_step, _mm_set1_epi32(static_cast<int>(d * stride)));
     const __m128i idx = _mm_add_epi32(rows, Load4U8(word + d));
-    const __m256d lo = _mm256_i32gather_pd(edges, idx, 8);
-    const __m256d hi = _mm256_i32gather_pd(edges + 1, idx, 8);
+    const __m256d lo = Gather4(edges, idx);
+    const __m256d hi = Gather4(edges + 1, idx);
     const __m256d dist = IntervalDist(_mm256_loadu_pd(q_dft + d), lo, hi);
     FoldOrdered(_mm256_mul_pd(dist, dist), &acc);
   }
@@ -273,8 +282,8 @@ double Avx2VaLbSq(const double* q_dft, const uint16_t* cells, size_t dims,
     const __m128i off =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(offsets + d));
     const __m128i idx = _mm_add_epi32(off, Load4U16(cells + d));
-    const __m256d lo = _mm256_i32gather_pd(edges, idx, 8);
-    const __m256d hi = _mm256_i32gather_pd(edges + 1, idx, 8);
+    const __m256d lo = Gather4(edges, idx);
+    const __m256d hi = Gather4(edges + 1, idx);
     const __m256d dist = IntervalDist(_mm256_loadu_pd(q_dft + d), lo, hi);
     FoldOrdered(_mm256_mul_pd(dist, dist), &acc);
   }
@@ -309,12 +318,12 @@ double Avx2EapcaNodeLbSq(const double* q_stats, const double* env,
         _mm_add_epi32(pair_step, _mm_set1_epi32(static_cast<int>(2 * s)));
     const __m128i idx4 =
         _mm_add_epi32(quad_step, _mm_set1_epi32(static_cast<int>(4 * s)));
-    const __m256d q_mean = _mm256_i32gather_pd(q_stats, idx2, 8);
-    const __m256d q_std = _mm256_i32gather_pd(q_stats + 1, idx2, 8);
-    const __m256d min_mean = _mm256_i32gather_pd(env, idx4, 8);
-    const __m256d max_mean = _mm256_i32gather_pd(env + 1, idx4, 8);
-    const __m256d min_std = _mm256_i32gather_pd(env + 2, idx4, 8);
-    const __m256d max_std = _mm256_i32gather_pd(env + 3, idx4, 8);
+    const __m256d q_mean = Gather4(q_stats, idx2);
+    const __m256d q_std = Gather4(q_stats + 1, idx2);
+    const __m256d min_mean = Gather4(env, idx4);
+    const __m256d max_mean = Gather4(env + 1, idx4);
+    const __m256d min_std = Gather4(env + 2, idx4);
+    const __m256d max_std = Gather4(env + 3, idx4);
     const __m256d dm = IntervalDist(q_mean, min_mean, max_mean);
     const __m256d ds = IntervalDist(q_std, min_std, max_std);
     const __m256d term = _mm256_mul_pd(

@@ -23,15 +23,24 @@ inline double Hsum8(__m512d v) {
   return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
 }
 
+// The 8 floats of half kHalf of `v`, widened to double. GCC 12's unmasked
+// _mm512_cvtps_pd and _mm512_castps512_ps256 merge into an
+// _mm512_undefined_* source, which it flags as maybe-uninitialized; the
+// all-lanes zero-masked forms compute the same bits.
+template <int kHalf>
+inline __m512d WidenHalf(__m512 v) {
+  return _mm512_maskz_cvtps_pd(0xFF, _mm512_extractf32x8_ps(v, kHalf));
+}
+
 // acc0 += (a-b)^2 over lanes 0..7, acc1 over lanes 8..15 of a 16-float step.
 inline void Step16(const Value* a, const Value* b, size_t i, __m512d* acc0,
                    __m512d* acc1) {
   const __m512 va = _mm512_loadu_ps(a + i);
   const __m512 vb = _mm512_loadu_ps(b + i);
-  const __m512d a_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(va));
-  const __m512d a_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(va, 1));
-  const __m512d b_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(vb));
-  const __m512d b_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(vb, 1));
+  const __m512d a_lo = WidenHalf<0>(va);
+  const __m512d a_hi = WidenHalf<1>(va);
+  const __m512d b_lo = WidenHalf<0>(vb);
+  const __m512d b_hi = WidenHalf<1>(vb);
   const __m512d d_lo = _mm512_sub_pd(a_lo, b_lo);
   const __m512d d_hi = _mm512_sub_pd(a_hi, b_hi);
   *acc0 = _mm512_fmadd_pd(d_lo, d_lo, *acc0);
@@ -44,11 +53,12 @@ inline void GatherStep16(const Value* q_ordered, const Value* candidate,
   const __m512i idx =
       _mm512_loadu_si512(reinterpret_cast<const void*>(order + i));
   const __m512 vq = _mm512_loadu_ps(q_ordered + i);
-  const __m512 vc = _mm512_i32gather_ps(idx, candidate, 4);
-  const __m512d q_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(vq));
-  const __m512d q_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(vq, 1));
-  const __m512d c_lo = _mm512_cvtps_pd(_mm512_castps512_ps256(vc));
-  const __m512d c_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(vc, 1));
+  const __m512 vc = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xFFFF, idx,
+                                             candidate, 4);
+  const __m512d q_lo = WidenHalf<0>(vq);
+  const __m512d q_hi = WidenHalf<1>(vq);
+  const __m512d c_lo = WidenHalf<0>(vc);
+  const __m512d c_hi = WidenHalf<1>(vc);
   const __m512d d_lo = _mm512_sub_pd(q_lo, c_lo);
   const __m512d d_hi = _mm512_sub_pd(q_hi, c_hi);
   *acc0 = _mm512_fmadd_pd(d_lo, d_lo, *acc0);

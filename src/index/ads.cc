@@ -74,11 +74,11 @@ util::Status AdsPlus::DoOpen(io::IndexReader* reader,
   return reader->status();
 }
 
-core::KnnResult AdsPlus::DoSearchKnn(core::SeriesView query,
-                                     const core::KnnPlan& plan) {
+core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
+                                       const core::KnnPlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap heap(plan.k);
   core::KnnWorkers workers(&heap, &result.stats, plan);
   const core::QueryOrder order(query);
@@ -199,11 +199,11 @@ core::KnnResult AdsPlus::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult AdsPlus::DoSearchRange(core::SeriesView query,
+core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
                                          const core::RangePlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   const double radius_sq = plan.radius * plan.radius;
   core::RangeWorkers workers(radius_sq, &result.stats, plan.query_threads);
   const core::QueryOrder order(query);
@@ -248,15 +248,15 @@ core::RangeResult AdsPlus::DoSearchRange(core::SeriesView query,
       });
   raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
 
-  workers.Finish(&result.matches);
+  workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
 
-core::KnnResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
+core::QueryResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap heap(k);
   const core::QueryOrder order(query);
   const auto paa = transform::Paa(query, options_.segments);

@@ -35,23 +35,15 @@ class AdsPlus : public core::SearchMethod {
   /// rule applies to its skip-sequential candidate list (one series is
   /// its unit of random access, not one leaf).
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = false,
-            .serial_reason =
+    // Sharding is what finally parallelizes ADS+ across queries: the
+    // fan-out gives each shard's adaptive tree exactly one thread per
+    // query, so concurrent queries can stay honestly refused. Within one
+    // query the tree-mutating phase 1 stays on the calling thread; only the
+    // order-independent summary and refinement scans fan out.
+    return core::MethodTraits::AllExcept({core::Capability::kLeafBudget})
+        .Refuse(core::Capability::kConcurrentQueries,
                 "adaptive query-path leaf splitting mutates the shared "
-                "iSAX tree during queries",
-            .supports_ng = true,
-            .supports_epsilon = true,
-            .supports_delta_epsilon = true,
-            .supports_persistence = true,
-            // Sharding is what finally parallelizes ADS+ across queries:
-            // the fan-out gives each shard's adaptive tree exactly one
-            // thread per query, so concurrent_queries can stay honestly
-            // false.
-            .shardable = true,
-            // Within one query the tree-mutating phase 1 stays on the
-            // calling thread; only the order-independent summary and
-            // refinement scans fan out.
-            .intra_query_parallel = true};
+                "iSAX tree during queries");
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;
@@ -63,10 +55,10 @@ class AdsPlus : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::KnnResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

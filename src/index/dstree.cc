@@ -385,11 +385,11 @@ void DsTree::VisitLeaf(const Node& leaf, const core::QueryOrder& order,
   }
 }
 
-core::KnnResult DsTree::DoSearchKnn(core::SeriesView query,
-                                    const core::KnnPlan& plan) {
+core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
+                                      const core::KnnPlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   core::KnnWorkers workers(&heap, &result.stats, plan);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -463,11 +463,11 @@ core::KnnResult DsTree::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult DsTree::DoSearchRange(core::SeriesView query,
+core::QueryResult DsTree::DoSearchRange(core::SeriesView query,
                                         const core::RangePlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   core::RangeWorkers workers(plan.radius * plan.radius, &result.stats,
                              plan.query_threads);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -525,15 +525,15 @@ core::RangeResult DsTree::DoSearchRange(core::SeriesView query,
         }
       });
 
-  workers.Finish(&result.matches);
+  workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
 
-core::KnnResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
+core::QueryResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(k);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
   const Prefix qp = ComputePrefix(query);

@@ -92,11 +92,11 @@ void Isax2Plus::VisitLeaf(const IsaxTree::Node& leaf,
   }
 }
 
-core::KnnResult Isax2Plus::DoSearchKnn(core::SeriesView query,
-                                       const core::KnnPlan& plan) {
+core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
+                                         const core::KnnPlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   core::KnnWorkers workers(&heap, &result.stats, plan);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -161,11 +161,11 @@ core::KnnResult Isax2Plus::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult Isax2Plus::DoSearchRange(core::SeriesView query,
+core::QueryResult Isax2Plus::DoSearchRange(core::SeriesView query,
                                            const core::RangePlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   core::RangeWorkers workers(plan.radius * plan.radius, &result.stats,
                              plan.query_threads);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -193,15 +193,15 @@ core::RangeResult Isax2Plus::DoSearchRange(core::SeriesView query,
       },
       [&](size_t w) { return &workers.stats(w); });
 
-  workers.Finish(&result.matches);
+  workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
 
-core::KnnResult Isax2Plus::DoSearchKnnNg(core::SeriesView query, size_t k) {
+core::QueryResult Isax2Plus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   HYDRA_CHECK(tree_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(k);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
   const auto paa = transform::Paa(query, options_.segments);

@@ -298,13 +298,13 @@ void MTree::SplitNode(Node* node, std::unique_ptr<Node>* out_left,
   *out_right = std::move(right);
 }
 
-core::KnnResult MTree::DoSearchKnn(core::SeriesView query,
-                                   const core::KnnPlan& plan) {
+core::QueryResult MTree::DoSearchKnn(core::SeriesView query,
+                                     const core::KnnPlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
   // Pruning against bsf/(1+eps) guarantees d(result) <= (1+eps) * d(true).
   const double shrink = 1.0 / (1.0 + plan.epsilon);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap =
       core::ScratchKnnHeap(plan.k);  // squared, like all methods
   core::KnnWorkers workers(&heap, &result.stats, plan);
@@ -380,12 +380,12 @@ core::KnnResult MTree::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult MTree::DoSearchRange(core::SeriesView query,
+core::QueryResult MTree::DoSearchRange(core::SeriesView query,
                                        const core::RangePlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
   const double radius = plan.radius;
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   core::RangeWorkers workers(radius * radius, &result.stats,
                              plan.query_threads);
 
@@ -441,7 +441,7 @@ core::RangeResult MTree::DoSearchRange(core::SeriesView query,
         }
       });
 
-  workers.Finish(&result.matches);
+  workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }

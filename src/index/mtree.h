@@ -36,24 +36,10 @@ class MTree : public core::SearchMethod {
   /// Table 1 marks the M-tree epsilon-approximate; it has no ng one-path
   /// descent and no delta rule.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_epsilon = true,
-            .leaf_visit_budget = true,
-            .supports_persistence = true,
-            .shardable = true,
-            .intra_query_parallel = true};
+    return core::MethodTraits::AllExcept(
+        {core::Capability::kNgApprox, core::Capability::kDeltaEpsilon});
   }
 
-  /// Legacy entry point (deprecated): epsilon-approximate k-NN
-  /// (Definition 5; Table 1 marks the M-tree as supporting it), equivalent
-  /// to Execute(query, QuerySpec::Epsilon(k, epsilon)). Every result is
-  /// within (1+epsilon) of the true k-th NN distance; epsilon == 0 is the
-  /// exact search.
-  core::KnnResult SearchKnnEpsApproximate(core::SeriesView query, size_t k,
-                                          double epsilon) {
-    return Execute(query, core::QuerySpec::Epsilon(k, epsilon));
-  }
   core::Footprint footprint() const override;
 
  protected:
@@ -65,9 +51,9 @@ class MTree : public core::SearchMethod {
   /// unsquared distances, so it reads plan.epsilon rather than the squared
   /// plan.bound_scale — and larger epsilon trades accuracy for fewer
   /// distance computations.
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

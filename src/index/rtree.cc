@@ -427,11 +427,11 @@ void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
   }
 }
 
-core::KnnResult RStarTree::DoSearchKnn(core::SeriesView query,
-                                       const core::KnnPlan& plan) {
+core::QueryResult RStarTree::DoSearchKnn(core::SeriesView query,
+                                         const core::KnnPlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   heap.ShareBound(plan.shared_bound);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -492,12 +492,12 @@ core::KnnResult RStarTree::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult RStarTree::DoSearchRange(core::SeriesView query,
+core::QueryResult RStarTree::DoSearchRange(core::SeriesView query,
                                            const core::RangePlan& plan) {
   const double radius = plan.radius;
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   core::RangeCollector collector(radius * radius);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
   io::CountedStorage raw(data_);
@@ -532,7 +532,7 @@ core::RangeResult RStarTree::DoSearchRange(core::SeriesView query,
     }
   }
 
-  result.matches = collector.TakeSorted();
+  result.neighbors = collector.TakeSorted();
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }

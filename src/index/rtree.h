@@ -33,15 +33,11 @@ class RStarTree : public core::SearchMethod {
   /// pruning admits the epsilon relaxation; there is no ng descent (the
   /// tree is not a covering trie) and no delta rule.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_epsilon = true,
-            .leaf_visit_budget = true,
-            .supports_persistence = true,
-            .shardable = true,
-            .intra_query_reason =
+    return core::MethodTraits::AllExcept({core::Capability::kNgApprox,
+                                          core::Capability::kDeltaEpsilon})
+        .Refuse(core::Capability::kIntraQuery,
                 "R*-tree traversal has not been restructured onto the "
-                "shared engine; use --shards for parallel speedup"};
+                "shared engine; use --shards for parallel speedup");
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;
@@ -51,9 +47,9 @@ class RStarTree : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

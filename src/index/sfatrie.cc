@@ -302,11 +302,11 @@ void SfaTrie::VisitLeaf(const Node& leaf, const core::QueryOrder& order,
   }
 }
 
-core::KnnResult SfaTrie::DoSearchKnn(core::SeriesView query,
-                                     const core::KnnPlan& plan) {
+core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
+                                       const core::KnnPlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   core::KnnWorkers workers(&heap, &result.stats, plan);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -379,11 +379,11 @@ core::KnnResult SfaTrie::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult SfaTrie::DoSearchRange(core::SeriesView query,
+core::QueryResult SfaTrie::DoSearchRange(core::SeriesView query,
                                          const core::RangePlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::RangeResult result;
+  core::QueryResult result;
   const double radius_sq = plan.radius * plan.radius;
   core::RangeWorkers workers(radius_sq, &result.stats, plan.query_threads);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
@@ -438,15 +438,15 @@ core::RangeResult SfaTrie::DoSearchRange(core::SeriesView query,
         }
       });
 
-  workers.Finish(&result.matches);
+  workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;
 }
 
-core::KnnResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
+core::QueryResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
   HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
-  core::KnnResult result;
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(k);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
   const size_t dims = quantizer_.dims();

@@ -35,15 +35,7 @@ class SfaTrie : public core::SearchMethod {
   /// The trie is immutable after Build, so queries can run concurrently.
   /// ng-capable tree (Table 1), so every approximate mode is supported.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_ng = true,
-            .supports_epsilon = true,
-            .supports_delta_epsilon = true,
-            .leaf_visit_budget = true,
-            .supports_persistence = true,
-            .shardable = true,
-            .intra_query_parallel = true};
+    return core::MethodTraits::AllExcept({});
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;
@@ -53,10 +45,10 @@ class SfaTrie : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::KnnResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

@@ -37,14 +37,12 @@ class VaFile : public core::SearchMethod {
   /// so ng and the delta rule do not apply (and the max_visited_leaves
   /// budget can never fire).
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .supports_epsilon = true,
-            .supports_persistence = true,
-            .shardable = true,
-            .intra_query_reason =
+    return core::MethodTraits::AllExcept({core::Capability::kNgApprox,
+                                          core::Capability::kDeltaEpsilon,
+                                          core::Capability::kLeafBudget})
+        .Refuse(core::Capability::kIntraQuery,
                 "two-phase sequential VA scan has no traversal frontier "
-                "to share; use --shards for parallel speedup"};
+                "to share; use --shards for parallel speedup");
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;
@@ -54,9 +52,9 @@ class VaFile : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

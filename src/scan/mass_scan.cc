@@ -68,9 +68,9 @@ core::SearchStats MassScan::ScanAll(core::SeriesView query,
   return stats;
 }
 
-core::KnnResult MassScan::DoSearchKnn(core::SeriesView query,
-                                      const core::KnnPlan& plan) {
-  core::KnnResult result;
+core::QueryResult MassScan::DoSearchKnn(core::SeriesView query,
+                                        const core::KnnPlan& plan) {
+  core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   result.stats = ScanAll(query, plan, [&](core::SeriesId id, double dist_sq) {
     heap.Offer(id, dist_sq);
@@ -79,16 +79,16 @@ core::KnnResult MassScan::DoSearchKnn(core::SeriesView query,
   return result;
 }
 
-core::RangeResult MassScan::DoSearchRange(core::SeriesView query,
+core::QueryResult MassScan::DoSearchRange(core::SeriesView query,
                                           const core::RangePlan& plan) {
   const double radius = plan.radius;
-  core::RangeResult result;
+  core::QueryResult result;
   core::RangeCollector collector(radius * radius);
   result.stats = ScanAll(query, core::KnnPlan{},
                          [&](core::SeriesId id, double dist_sq) {
                            collector.Offer(id, dist_sq);
                          });
-  result.matches = collector.TakeSorted();
+  result.neighbors = collector.TakeSorted();
   return result;
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/method.h"
 #include "io/counted_storage.h"
+#include "scan/scan_traits.h"
 
 namespace hydra::scan {
 
@@ -22,24 +23,16 @@ class MassScan : public core::SearchMethod {
   /// Fourier domain with no bound to relax (approximate modes fall back to
   /// exact, reported); the max_raw_series budget truncates the scan.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .persistence_reason =
-                "sequential scan: Build only precomputes per-series "
-                "norms, cheaper to redo than to persist",
-            .shard_reason =
-                "sequential scan: no index partition to build per shard — "
-                "the batch engine's --threads already parallelizes it",
-            .intra_query_reason =
-                "sequential scan has no traversal frontier to share; "
-                "batch --threads already parallelizes workloads"};
+    return ScanTraits(
+        "sequential scan: Build only precomputes per-series norms, cheaper "
+        "to redo than to persist");
   }
 
  protected:
   core::BuildStats DoBuild(const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

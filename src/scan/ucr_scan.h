@@ -6,6 +6,7 @@
 
 #include "core/method.h"
 #include "io/counted_storage.h"
+#include "scan/scan_traits.h"
 
 namespace hydra::scan {
 
@@ -19,23 +20,15 @@ class UcrScan : public core::SearchMethod {
   /// bound against (approximate modes fall back to exact, reported); the
   /// max_raw_series budget truncates the scan.
   core::MethodTraits traits() const override {
-    return {.concurrent_queries = true,
-            .serial_reason = "",
-            .persistence_reason =
-                "sequential scan: there is no index structure to persist",
-            .shard_reason =
-                "sequential scan: no index partition to build per shard — "
-                "the batch engine's --threads already parallelizes it",
-            .intra_query_reason =
-                "sequential scan has no traversal frontier to share; "
-                "batch --threads already parallelizes workloads"};
+    return ScanTraits(
+        "sequential scan: there is no index structure to persist");
   }
 
  protected:
   core::BuildStats DoBuild(const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

@@ -399,42 +399,15 @@ util::Status ValidateRequest(const QueryRequest& request,
       return util::Status::Error("query vector contains non-finite values");
     }
   }
-  if (spec.kind == core::QueryKind::kRange) {
-    if (!(spec.radius >= 0.0) || !std::isfinite(spec.radius)) {
-      return util::Status::Error("range radius must be finite and "
-                                 "non-negative");
-    }
-    if (spec.mode != core::QualityMode::kExact) {
-      return util::Status::Error("range queries support only the exact "
-                                 "mode");
-    }
-    if (spec.has_budget()) {
-      return util::Status::Error("range queries do not support execution "
-                                 "budgets");
-    }
-    return util::Status::Ok();
+  if (util::Status valid = core::ValidateSpec(spec); !valid.ok()) {
+    return valid;
   }
-  if (spec.k < 1) {
-    return util::Status::Error("k-NN queries need k >= 1");
-  }
-  if (!(spec.epsilon >= 0.0) || !std::isfinite(spec.epsilon)) {
-    return util::Status::Error("epsilon must be finite and non-negative");
-  }
-  if (!(spec.delta > 0.0 && spec.delta <= 1.0)) {
-    return util::Status::Error("delta must lie in (0, 1]");
-  }
-  if (spec.max_visited_leaves < 0 || spec.max_raw_series < 0) {
-    return util::Status::Error("budgets must be non-negative (0 = "
-                               "unlimited)");
-  }
-  if (spec.mode == core::QualityMode::kNgApprox && spec.has_budget()) {
-    return util::Status::Error("budgets do not apply to the ng mode (it "
-                               "already visits at most one leaf)");
-  }
-  if (spec.max_visited_leaves > 0 && !traits.leaf_visit_budget) {
-    return util::Status::Error("the served method has no leaf-visit budget "
-                               "unit, so max_visited_leaves could never "
-                               "fire; cap work with max_raw_series instead");
+  if (spec.max_visited_leaves > 0 &&
+      !traits.Has(core::Capability::kLeafBudget)) {
+    return util::Status::Error(
+        "the served method does not support max_visited_leaves (" +
+        std::string(traits.Reason(core::Capability::kLeafBudget)) +
+        "); cap work with max_raw_series instead");
   }
   // Honest refusal, like the CLI: a mode the served method does not
   // advertise is rejected, never silently answered exactly.

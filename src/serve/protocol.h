@@ -178,9 +178,10 @@ std::string EncodeStatsResponse(std::string_view json);
 util::Status DecodeStatsResponse(std::string_view payload, std::string* json);
 
 /// Semantic validation of a decoded request against the serving method's
-/// traits and the collection's series length: mirrors every CHECK of
-/// core::SearchMethod::Execute plus the CLI's traits-derived refusals
-/// (unsupported mode, inert leaf budget), as clean errors — a malformed or
+/// traits and the collection's series length: the query vector's shape,
+/// core::ValidateSpec (every CHECK of core::SearchMethod::Execute), and the
+/// capability table's refusals (unsupported mode, inert leaf budget), as
+/// clean errors — a malformed or
 /// unsupported request must answer with a kBadQuery frame, never abort the
 /// daemon.
 util::Status ValidateRequest(const QueryRequest& request,

@@ -349,7 +349,7 @@ void Server::ExecuteQuery(const std::shared_ptr<Connection>& conn,
       std::lock_guard<std::mutex> lock(method_mutex_);
       method = method_;
     }
-    if (traits_.concurrent_queries) {
+    if (traits_.Has(core::Capability::kConcurrentQueries)) {
       response.result = method->Execute(request.query, request.spec);
     } else {
       std::lock_guard<std::mutex> lock(exec_mutex_);

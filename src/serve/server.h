@@ -141,7 +141,7 @@ class Server {
   /// shared_ptr under method_mutex_ and execute on their copy.
   std::shared_ptr<core::SearchMethod> method_;
   mutable std::mutex method_mutex_;
-  /// Serializes Execute for methods whose traits lack concurrent_queries
+  /// Serializes Execute for methods whose traits lack kConcurrentQueries
   /// (ADS+ mutates its structure while answering).
   std::mutex exec_mutex_;
 

@@ -75,7 +75,7 @@ struct ShardedOptions {
 class ShardedIndex : public core::SearchMethod {
  public:
   /// `factory` creates the component instances; it must produce a method
-  /// whose traits() advertise `shardable` (CHECK-aborted otherwise — the
+  /// whose traits() advertise kSharding (CHECK-aborted otherwise — the
   /// CLI refuses unshardable methods before constructing one of these).
   ShardedIndex(MethodFactory factory, ShardedOptions options);
 
@@ -83,10 +83,10 @@ class ShardedIndex : public core::SearchMethod {
   /// build (and of the persisted manifest), not of the identity.
   std::string name() const override;
 
-  /// Mirrors the component's quality/concurrency/budget traits: a fan-out
-  /// delivers exactly the guarantees its components do, and concurrent
-  /// *outer* queries are safe iff component queries are. Not itself
-  /// shardable (no nested sharding) and persistent iff the component is.
+  /// Mirrors the component's capability table with kSharding refused (no
+  /// nested sharding): a fan-out delivers exactly the guarantees its
+  /// components do, concurrent *outer* queries are safe iff component
+  /// queries are, and it is persistent iff the component is.
   core::MethodTraits traits() const override;
 
   /// Summed component footprints (leaf vectors concatenated, shard order).
@@ -108,10 +108,10 @@ class ShardedIndex : public core::SearchMethod {
   void DoSave(io::IndexWriter* writer) const override;
   util::Status DoOpen(io::IndexReader* reader,
                       const core::Dataset& data) override;
-  core::KnnResult DoSearchKnn(core::SeriesView query,
-                              const core::KnnPlan& plan) override;
-  core::KnnResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
-  core::RangeResult DoSearchRange(core::SeriesView query,
+  core::QueryResult DoSearchKnn(core::SeriesView query,
+                                const core::KnnPlan& plan) override;
+  core::QueryResult DoSearchKnnNg(core::SeriesView query, size_t k) override;
+  core::QueryResult DoSearchRange(core::SeriesView query,
                                   const core::RangePlan& plan) override;
 
  private:

@@ -100,6 +100,8 @@ expect_err "leaf budget on ADS+" "no leaf-visit budget unit" \
   query "$d" ADS+ 3 2 --max-leaves 5
 expect_err "spec flags on range" "only supported by 'query'" \
   range "$d" DSTree 5 2 --mode epsilon
+expect_err "range radius inf" "radius must be a finite non-negative number" \
+  range "$d" DSTree inf 2
 
 # Unsupported mode+method combinations exit 1 with the traits-derived
 # reason (scans are exact-only; M-tree has no ng descent).
@@ -137,6 +139,19 @@ expect_err "index of another method" "was built by 'DSTree'" \
 "$bin" gen synth 200 64 4 "$tmp/other.bin" >/dev/null
 expect_err "index fingerprint mismatch" "fingerprint mismatch" \
   query "$tmp/other.bin" DSTree 3 2 --index "$tmp/idx"
+
+# --trace on a failed command: exit 1, and neither a trace file nor a
+# "trace written" claim — a failed run has nothing to report.
+for args in "query $tmp/no-such.bin DSTree 3 2" \
+    "build $tmp/no-such.bin DSTree $tmp/tidx"; do
+  out=$("$bin" $args --trace "$tmp/t.json" 2>&1)
+  rc=$?
+  if [ "$rc" -ne 1 ] || [ -e "$tmp/t.json" ] ||
+      [[ "$out" == *"trace written"* ]]; then
+    echo "FAIL (traced $args): exit $rc, trace left or announced: $out"
+    fails=1
+  fi
+done
 
 # The kernel-dispatch flag: unknown/unsupported sets and misplaced flags
 # exit 1 listing the supported sets; ambient HYDRA_KERNELS misuse exits 1

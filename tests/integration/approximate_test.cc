@@ -26,7 +26,8 @@ TEST_P(ApproximateTest, ReturnsValidCandidates) {
   method->Build(data);
   for (size_t q = 0; q < w.queries.size(); ++q) {
     const auto exact = core::BruteForceKnn(data, w.queries[q], 1);
-    core::KnnResult approx = method->SearchKnnApproximate(w.queries[q], 1);
+    core::QueryResult approx =
+        method->Execute(w.queries[q], core::QuerySpec::NgApprox(1));
     ASSERT_FALSE(approx.neighbors.empty()) << method_name;
     // The reported distance must be a real distance of a real series.
     const auto id = approx.neighbors[0].id;
@@ -46,7 +47,8 @@ TEST_P(ApproximateTest, VisitsAtMostOneLeaf) {
   auto method = bench::CreateMethod(method_name, 64);
   method->Build(data);
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    core::KnnResult approx = method->SearchKnnApproximate(w.queries[q], 1);
+    core::QueryResult approx =
+        method->Execute(w.queries[q], core::QuerySpec::NgApprox(1));
     EXPECT_LE(approx.stats.nodes_visited, 1) << method_name;
     // At most one leaf's worth of raw series examined.
     EXPECT_LE(approx.stats.raw_series_examined, 64 + 1) << method_name;
@@ -63,10 +65,10 @@ TEST_P(ApproximateTest, MuchCheaperThanExact) {
   int64_t exact_examined = 0;
   for (size_t q = 0; q < w.queries.size(); ++q) {
     approx_examined +=
-        method->SearchKnnApproximate(w.queries[q], 1).stats
+        method->Execute(w.queries[q], core::QuerySpec::NgApprox(1)).stats
             .raw_series_examined;
-    exact_examined +=
-        method->SearchKnn(w.queries[q], 1).stats.raw_series_examined;
+    exact_examined += method->Execute(w.queries[q], core::QuerySpec::Knn(1))
+                          .stats.raw_series_examined;
   }
   EXPECT_LT(approx_examined * 2, exact_examined) << method_name;
 }
@@ -83,7 +85,8 @@ TEST_P(ApproximateTest, GoodOnEasyQueries) {
   size_t close_hits = 0;
   for (size_t q = 0; q < easy.queries.size(); ++q) {
     const auto exact = core::BruteForceKnn(data, easy.queries[q], 1);
-    const auto approx = method->SearchKnnApproximate(easy.queries[q], 1);
+    const auto approx =
+        method->Execute(easy.queries[q], core::QuerySpec::NgApprox(1));
     const double ratio =
         std::sqrt(approx.neighbors[0].dist_sq) /
         std::max(1e-9, std::sqrt(exact[0].dist_sq));
@@ -112,8 +115,8 @@ TEST(ApproximateDefault, ScansFallBackToExact) {
   const auto w = gen::RandWorkload(2, 64, 6010);
   auto scan = bench::CreateMethod("UCR-Suite");
   scan->Build(data);
-  const auto exact = scan->SearchKnn(w.queries[0], 3);
-  const auto approx = scan->SearchKnnApproximate(w.queries[0], 3);
+  const auto exact = scan->Execute(w.queries[0], core::QuerySpec::Knn(3));
+  const auto approx = scan->Execute(w.queries[0], core::QuerySpec::NgApprox(3));
   ASSERT_EQ(exact.neighbors.size(), approx.neighbors.size());
   for (size_t i = 0; i < exact.neighbors.size(); ++i) {
     EXPECT_EQ(exact.neighbors[i].id, approx.neighbors[i].id);

@@ -37,7 +37,8 @@ TEST_P(ExactnessTest, MatchesBruteForce) {
     for (size_t q = 0; q < w->queries.size(); ++q) {
       for (const size_t k : {1u, 5u}) {
         const auto expected = core::BruteForceKnn(data, w->queries[q], k);
-        core::KnnResult got = method->SearchKnn(w->queries[q], k);
+        core::QueryResult got =
+            method->Execute(w->queries[q], core::QuerySpec::Knn(k));
         ASSERT_EQ(got.neighbors.size(), k)
             << method_name << " " << w->name << " q=" << q;
         for (size_t i = 0; i < k; ++i) {
@@ -82,7 +83,8 @@ TEST_P(LeafCapacityTest, ExactAtAnyLeafSize) {
   method->Build(data);
   for (size_t q = 0; q < w.queries.size(); ++q) {
     const auto expected = core::BruteForceKnn(data, w.queries[q], 1);
-    core::KnnResult got = method->SearchKnn(w.queries[q], 1);
+    core::QueryResult got =
+        method->Execute(w.queries[q], core::QuerySpec::Knn(1));
     ASSERT_EQ(got.neighbors.size(), 1u);
     EXPECT_NEAR(got.neighbors[0].dist_sq, expected[0].dist_sq,
                 1e-6 * std::max(1.0, expected[0].dist_sq))
@@ -112,7 +114,7 @@ TEST(ExactnessEdgeCases, SingleSeriesDataset) {
        {"DSTree", "iSAX2+", "VA+file", "UCR-Suite", "Stepwise"}) {
     auto method = bench::CreateMethod(name);
     method->Build(data);
-    const auto got = method->SearchKnn(w.queries[0], 1);
+    const auto got = method->Execute(w.queries[0], core::QuerySpec::Knn(1));
     ASSERT_EQ(got.neighbors.size(), 1u) << name;
     EXPECT_EQ(got.neighbors[0].id, 0u) << name;
   }
@@ -123,7 +125,7 @@ TEST(ExactnessEdgeCases, KEqualsDatasetSize) {
   const gen::Workload w = gen::RandWorkload(1, 64, 8);
   auto method = bench::CreateMethod("DSTree", 8);
   method->Build(data);
-  const auto got = method->SearchKnn(w.queries[0], 50);
+  const auto got = method->Execute(w.queries[0], core::QuerySpec::Knn(50));
   const auto expected = core::BruteForceKnn(data, w.queries[0], 50);
   ASSERT_EQ(got.neighbors.size(), 50u);
   for (size_t i = 0; i < 50; ++i) {
@@ -136,7 +138,7 @@ TEST(ExactnessEdgeCases, QueryIdenticalToDatasetSeries) {
   for (const std::string& name : bench::AllMethodNames()) {
     auto method = bench::CreateMethod(name, 32);
     method->Build(data);
-    const auto got = method->SearchKnn(data[123], 1);
+    const auto got = method->Execute(data[123], core::QuerySpec::Knn(1));
     ASSERT_EQ(got.neighbors.size(), 1u) << name;
     EXPECT_NEAR(got.neighbors[0].dist_sq, 0.0, 1e-5) << name;
   }

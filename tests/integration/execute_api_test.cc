@@ -1,5 +1,5 @@
 // The unified Execute(QuerySpec) contract across all ten methods:
-// epsilon = 0 is bit-identical to the legacy exact entry point, the
+// epsilon = 0 is bit-identical to the exact spec, the
 // (1+epsilon) guarantee holds against brute force, ng via Execute visits
 // at most one leaf on every ng-capable tree, unsupported modes fall back
 // with an honest delivered-mode report (never silently), delta = 1
@@ -54,17 +54,18 @@ void ExpectSameAnswersAndCounters(const core::QueryResult& a,
 // Adaptive methods (ADS+) refine their structure during queries, so
 // sequence comparisons always run on two freshly built instances fed the
 // same query order.
-TEST(ExecuteApi, EpsilonZeroIsBitIdenticalToLegacyExact) {
+TEST(ExecuteApi, EpsilonZeroIsBitIdenticalToExact) {
   const auto data = TestData();
   const auto w = TestQueries();
   for (const std::string& name : bench::AllMethodNames()) {
-    auto legacy = bench::CreateMethod(name, kLeaf);
-    auto unified = bench::CreateMethod(name, kLeaf);
-    legacy->Build(data);
-    unified->Build(data);
+    auto exact = bench::CreateMethod(name, kLeaf);
+    auto relaxed = bench::CreateMethod(name, kLeaf);
+    exact->Build(data);
+    relaxed->Build(data);
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      const core::QueryResult a = legacy->SearchKnn(w.queries[q], kK);
-      const core::QueryResult b = unified->Execute(
+      const core::QueryResult a =
+          exact->Execute(w.queries[q], core::QuerySpec::Knn(kK));
+      const core::QueryResult b = relaxed->Execute(
           w.queries[q], core::QuerySpec::Epsilon(kK, 0.0));
       ExpectSameAnswersAndCounters(a, b,
                                    name + " q" + std::to_string(q));
@@ -77,7 +78,7 @@ TEST(ExecuteApi, EpsilonZeroIsBitIdenticalToLegacyExact) {
 TEST(ExecuteApi, EpsilonGuaranteeHoldsAgainstBruteForce) {
   const auto data = TestData();
   const auto w = TestQueries();
-  for (const std::string& name : bench::EpsilonCapableNames()) {
+  for (const std::string& name : bench::NamesWith(core::Capability::kEpsilon)) {
     auto method = bench::CreateMethod(name, kLeaf);
     method->Build(data);
     for (const double eps : {0.1, 1.0, 3.0}) {
@@ -103,7 +104,8 @@ TEST(ExecuteApi, EpsilonGuaranteeHoldsAgainstBruteForce) {
 TEST(ExecuteApi, NgViaExecuteVisitsAtMostOneLeaf) {
   const auto data = TestData();
   const auto w = TestQueries();
-  for (const std::string& name : bench::NgCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kNgApprox)) {
     auto method = bench::CreateMethod(name, kLeaf);
     method->Build(data);
     for (size_t q = 0; q < w.queries.size(); ++q) {
@@ -159,7 +161,8 @@ TEST(ExecuteApi, DeltaEpsilonFallsBackToEpsilonBeforeExact) {
 TEST(ExecuteApi, DeltaOneIsBitIdenticalToPlainEpsilon) {
   const auto data = TestData();
   const auto w = TestQueries();
-  for (const std::string& name : bench::NgCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kNgApprox)) {
     auto eps_method = bench::CreateMethod(name, kLeaf);
     auto delta_method = bench::CreateMethod(name, kLeaf);
     eps_method->Build(data);
@@ -178,7 +181,8 @@ TEST(ExecuteApi, DeltaOneIsBitIdenticalToPlainEpsilon) {
 TEST(ExecuteApi, SmallDeltaExaminesNoMoreThanFullDelta) {
   const auto data = TestData();
   const auto w = TestQueries();
-  for (const std::string& name : bench::NgCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kNgApprox)) {
     auto full = bench::CreateMethod(name, kLeaf);
     auto tiny = bench::CreateMethod(name, kLeaf);
     full->Build(data);
@@ -217,7 +221,7 @@ TEST(ExecuteApi, ReportedDistancesAreRealDistances) {
   core::QuerySpec budgeted = core::QuerySpec::Knn(kK);
   budgeted.max_raw_series = 64;
   specs.push_back(budgeted);
-  for (const std::string& name : bench::EpsilonCapableNames()) {
+  for (const std::string& name : bench::NamesWith(core::Capability::kEpsilon)) {
     auto method = bench::CreateMethod(name, kLeaf);
     method->Build(data);
     for (const core::QuerySpec& spec : specs) {
@@ -284,7 +288,7 @@ TEST(ExecuteApi, LeafBudgetCapsTreeTraversal) {
       const core::QueryResult r = capped->Execute(w.queries[q], spec);
       capped_raw += r.stats.raw_series_examined;
       fired_any = fired_any || r.budget_fired();
-      free_raw += free_run->SearchKnn(w.queries[q], 3)
+      free_raw += free_run->Execute(w.queries[q], core::QuerySpec::Knn(3))
                       .stats.raw_series_examined;
     }
     // The capped traversal is a prefix of the free one.
@@ -296,22 +300,15 @@ TEST(ExecuteApi, LeafBudgetCapsTreeTraversal) {
   }
 }
 
-TEST(ExecuteApi, RangeThroughExecuteMatchesLegacy) {
+TEST(ExecuteApi, RangeDeliversExact) {
   const auto data = TestData();
   const auto w = TestQueries();
   auto method = bench::CreateMethod("DSTree", kLeaf);
   method->Build(data);
-  const double radius = 10.0;
-  const core::RangeResult legacy =
-      method->SearchRange(w.queries[0], radius);
-  const core::QueryResult unified =
-      method->Execute(w.queries[0], core::QuerySpec::Range(radius));
-  ASSERT_EQ(legacy.matches.size(), unified.neighbors.size());
-  for (size_t i = 0; i < legacy.matches.size(); ++i) {
-    EXPECT_EQ(legacy.matches[i].id, unified.neighbors[i].id);
-    EXPECT_EQ(legacy.matches[i].dist_sq, unified.neighbors[i].dist_sq);
-  }
-  EXPECT_EQ(unified.delivered(), core::QualityMode::kExact);
+  const core::QueryResult r =
+      method->Execute(w.queries[0], core::QuerySpec::Range(10.0));
+  EXPECT_EQ(r.delivered(), core::QualityMode::kExact);
+  EXPECT_FALSE(r.budget_fired());
 }
 
 }  // namespace

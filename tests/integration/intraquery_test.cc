@@ -6,7 +6,6 @@
 // and their work ledgers never move with --query-threads; traits refuse
 // honestly; and query_threads composes with the sharded fan-out (shards x
 // workers pruning against one cross-shard bound).
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,8 @@ void ExpectSameWork(const core::SearchStats& got,
 TEST(IntraQueryBitIdentity, ExactKnnMatchesSerialAtEveryWidth) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kIntraQuery)) {
     auto reference = bench::CreateMethod(name, kLeaf);
     reference->Build(data);
     std::vector<std::vector<core::Neighbor>> knn_ref;
@@ -106,7 +106,8 @@ TEST(IntraQueryBitIdentity, ExactKnnMatchesSerialAtEveryWidth) {
 TEST(IntraQueryBitIdentity, RangeMatchesSerialAtEveryWidth) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kIntraQuery)) {
     auto reference = bench::CreateMethod(name, kLeaf);
     reference->Build(data);
     std::vector<core::QueryResult> range_ref;
@@ -151,11 +152,12 @@ TEST(IntraQueryBitIdentity, RangeMatchesSerialAtEveryWidth) {
 TEST(IntraQueryGating, EpsilonAndBudgetedRunsAreUnmovedByQueryThreads) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kIntraQuery)) {
     const core::MethodTraits traits =
         bench::CreateMethod(name, kLeaf)->traits();
 
-    if (traits.supports_epsilon) {
+    if (traits.Has(core::Capability::kEpsilon)) {
       auto serial = bench::CreateMethod(name, kLeaf);
       serial->Build(data);
       auto wide = bench::CreateMethod(name, kLeaf);
@@ -198,39 +200,14 @@ TEST(IntraQueryGating, EpsilonAndBudgetedRunsAreUnmovedByQueryThreads) {
   }
 }
 
-/// Traits are honest on both sides: the five restructured tree methods
-/// advertise the capability, everything else explains its refusal, and
-/// the sharded container mirrors its component (so `--shards` composed
-/// with `--query-threads` is accepted or refused for the right reason).
-TEST(IntraQueryTraits, FiveTreeMethodsAdvertiseOthersRefuseWithReasons) {
-  const auto capable = bench::IntraQueryCapableNames();
-  EXPECT_EQ(capable.size(), 5u);
-  for (const std::string& name : bench::AllMethodNames()) {
-    const core::MethodTraits t = bench::CreateMethod(name)->traits();
-    const bool expected =
-        std::find(capable.begin(), capable.end(), name) != capable.end();
-    EXPECT_EQ(t.intra_query_parallel, expected) << name;
-    if (!t.intra_query_parallel) {
-      EXPECT_FALSE(t.intra_query_reason.empty()) << name;
-    }
-  }
-  for (const std::string& name : bench::ShardableNames()) {
-    const core::MethodTraits inner = bench::CreateMethod(name)->traits();
-    const core::MethodTraits outer =
-        bench::CreateShardedMethod(name, 2, 1)->traits();
-    EXPECT_EQ(outer.intra_query_parallel, inner.intra_query_parallel)
-        << name;
-    EXPECT_EQ(outer.intra_query_reason, inner.intra_query_reason) << name;
-  }
-}
-
 /// Composition: shards x workers. Every shard's workers attach to the one
 /// cross-shard bound, and the merged answer still matches the unsharded
 /// serial traversal bit for bit.
 TEST(IntraQueryComposition, ShardsTimesWorkersMatchesUnshardedSerial) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kIntraQuery)) {
     auto reference = bench::CreateMethod(name, kLeaf);
     reference->Build(data);
     std::vector<std::vector<core::Neighbor>> knn_ref;

@@ -44,16 +44,17 @@ TEST_P(KernelE2eTest, EverySetReturnsTheScalarAnswer) {
   method->Build(data);
 
   // Scalar baseline per query.
-  std::vector<core::KnnResult> baseline;
+  std::vector<core::QueryResult> baseline;
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    baseline.push_back(method->SearchKnn(w.queries[q], kK));
+    baseline.push_back(method->Execute(w.queries[q], core::QuerySpec::Knn(kK)));
     ASSERT_EQ(baseline.back().neighbors.size(), kK);
   }
 
   for (const core::simd::KernelSet* set : core::simd::SupportedKernelSets()) {
     ASSERT_TRUE(core::simd::UseKernels(set->name).ok());
     for (size_t q = 0; q < w.queries.size(); ++q) {
-      const core::KnnResult got = method->SearchKnn(w.queries[q], kK);
+      const core::QueryResult got =
+          method->Execute(w.queries[q], core::QuerySpec::Knn(kK));
       ASSERT_EQ(got.neighbors.size(), kK) << set->name << " q=" << q;
       for (size_t i = 0; i < kK; ++i) {
         EXPECT_EQ(got.neighbors[i].id, baseline[q].neighbors[i].id)

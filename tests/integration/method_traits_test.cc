@@ -1,7 +1,11 @@
-// Asserts the static taxonomy of Table 1: the ten methods, their names, and
-// the structural traits our implementation encodes (indexes expose
-// footprints; scans do not; summarized indexes expose a TLB).
+// Asserts the static taxonomy of Table 1: the ten methods, their names, the
+// capability table (every refusal explained, NamesWith equal to the support
+// matrix), and the structural traits our implementation encodes (indexes
+// expose footprints; scans do not; summarized indexes expose a TLB).
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,19 +19,59 @@ TEST(MethodTraits, TenMethodsExist) {
   EXPECT_EQ(bench::AllMethodNames().size(), 10u);
 }
 
-TEST(MethodTraits, OnlyAdaptiveAdsDeclinesConcurrentQueries) {
-  // docs/METHODS.md's thread-safety column, kept honest: nine methods
-  // advertise concurrent queries; ADS+ must not (its SIMS search splits
-  // leaves during queries) and must say why.
+TEST(MethodTraits, EveryRefusedCapabilityCarriesAReason) {
+  // The CLI, the server, Save/Open, and the batch engine all surface these
+  // reasons verbatim: a refusal without one would be an unexplained "no".
+  std::vector<std::pair<std::string, core::MethodTraits>> tables = {
+      {"default", core::MethodTraits()}};
   for (const std::string& name : bench::AllMethodNames()) {
-    auto m = bench::CreateMethod(name);
-    const core::MethodTraits t = m->traits();
-    if (name == "ADS+") {
-      EXPECT_FALSE(t.concurrent_queries);
-      EXPECT_FALSE(t.serial_reason.empty());
-    } else {
-      EXPECT_TRUE(t.concurrent_queries) << name;
+    tables.emplace_back(name, bench::CreateMethod(name)->traits());
+  }
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
+    tables.emplace_back("Sharded " + name,
+                        bench::CreateShardedMethod(name, 2, 1)->traits());
+  }
+  for (const auto& [name, traits] : tables) {
+    for (const core::Capability c : core::kAllCapabilities) {
+      if (traits.Has(c)) {
+        EXPECT_TRUE(traits.Reason(c).empty()) << name;
+      } else {
+        EXPECT_FALSE(traits.Reason(c).empty())
+            << name << " refuses " << core::CapabilityName(c);
+      }
     }
+  }
+}
+
+TEST(MethodTraits, NamesWithEncodesTheSupportMatrix) {
+  // Table 1 plus the execution capabilities, as AllMethodNames() orders
+  // them: the four ng-capable trees support every mode; the seven indexes
+  // relax epsilon, persist, and shard; five trees run on the intra-query
+  // engine; only adaptive ADS+ serializes queries; and only traversals
+  // that visit several leaves can bind a leaf budget.
+  using Names = std::vector<std::string>;
+  const Names ng = {"ADS+", "DSTree", "iSAX2+", "SFA"};
+  const Names indexes = {"ADS+",    "DSTree", "iSAX2+", "M-tree",
+                         "R*-tree", "SFA",    "VA+file"};
+  const std::vector<std::pair<core::Capability, Names>> matrix = {
+      {core::Capability::kNgApprox, ng},
+      {core::Capability::kEpsilon, indexes},
+      {core::Capability::kDeltaEpsilon, ng},
+      {core::Capability::kLeafBudget,
+       {"DSTree", "iSAX2+", "M-tree", "R*-tree", "SFA"}},
+      {core::Capability::kConcurrentQueries,
+       {"DSTree", "iSAX2+", "M-tree", "R*-tree", "SFA", "VA+file",
+        "UCR-Suite", "MASS", "Stepwise"}},
+      {core::Capability::kPersistence, indexes},
+      {core::Capability::kSharding, indexes},
+      {core::Capability::kIntraQuery,
+       {"ADS+", "DSTree", "iSAX2+", "M-tree", "SFA"}},
+  };
+  ASSERT_EQ(matrix.size(), core::kCapabilityCount);
+  for (const auto& [capability, names] : matrix) {
+    EXPECT_EQ(bench::NamesWith(capability), names)
+        << core::CapabilityName(capability);
   }
 }
 

@@ -43,18 +43,22 @@ TEST_F(ParallelBatchFixture, BatchIsBitIdenticalToSerialAt1And2And8Threads) {
   constexpr size_t kK = 5;
   for (const std::string& name : AllMethodNames()) {
     auto method = CreateMethod(name, 64);
-    if (!method->traits().concurrent_queries) continue;
+    if (!method->traits().Has(core::Capability::kConcurrentQueries)) {
+      continue;
+    }
     method->Build(data_);
 
     // Serial reference: plain SearchKnn in workload order.
-    std::vector<core::KnnResult> serial;
+    std::vector<core::QueryResult> serial;
     for (size_t q = 0; q < workload_.queries.size(); ++q) {
-      serial.push_back(method->SearchKnn(workload_.queries[q], kK));
+      serial.push_back(method->Execute(workload_.queries[q],
+                                       core::QuerySpec::Knn(kK)));
     }
 
     for (const size_t threads : {1u, 2u, 8u}) {
       const core::BatchKnnResult batch =
-          SearchKnnBatch(method.get(), workload_, kK, threads);
+          SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(kK),
+                         threads);
       const std::string run = name + " @" + std::to_string(threads);
       EXPECT_TRUE(batch.serial_reason.empty()) << run;
       EXPECT_EQ(batch.threads_used, threads) << run;
@@ -84,7 +88,8 @@ TEST_F(ParallelBatchFixture, MergedLedgerIsTheSumOfPerQueryLedgers) {
   auto method = CreateMethod("VA+file");
   method->Build(data_);
   const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), workload_, /*k=*/3, /*threads=*/2);
+      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(3),
+                     /*threads=*/2);
   core::SearchStats manual;
   for (const auto& q : batch.queries) manual.Add(q.stats);
   ExpectSameCounters(batch.total, manual, "merged ledger");
@@ -93,10 +98,11 @@ TEST_F(ParallelBatchFixture, MergedLedgerIsTheSumOfPerQueryLedgers) {
 
 TEST_F(ParallelBatchFixture, AdaptiveAdsFallsBackToSerialWithReason) {
   auto method = CreateMethod("ADS+", 64);
-  ASSERT_FALSE(method->traits().concurrent_queries);
+  ASSERT_FALSE(method->traits().Has(core::Capability::kConcurrentQueries));
   method->Build(data_);
   const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), workload_, /*k=*/1, /*threads=*/4);
+      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(1),
+                     /*threads=*/4);
   EXPECT_EQ(batch.threads_used, 1u);
   EXPECT_FALSE(batch.serial_reason.empty());
   // The fallback still answers every query exactly.
@@ -116,7 +122,8 @@ TEST_F(ParallelBatchFixture, SingleThreadRequestNeverReportsAFallback) {
   auto method = CreateMethod("ADS+", 64);
   method->Build(data_);
   const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), workload_, /*k=*/1, /*threads=*/1);
+      SearchKnnBatch(method.get(), workload_, core::QuerySpec::Knn(1),
+                     /*threads=*/1);
   EXPECT_TRUE(batch.serial_reason.empty());
   EXPECT_EQ(batch.threads_used, 1u);
 }
@@ -126,7 +133,8 @@ TEST_F(ParallelBatchFixture, EmptyWorkloadWithThreadsReturnsEmptyBatch) {
   method->Build(data_);
   gen::Workload empty;
   const core::BatchKnnResult batch =
-      SearchKnnBatch(method.get(), empty, /*k=*/1, /*threads=*/4);
+      SearchKnnBatch(method.get(), empty, core::QuerySpec::Knn(1),
+                     /*threads=*/4);
   EXPECT_TRUE(batch.queries.empty());
   EXPECT_EQ(batch.threads_used, 1u);  // no pool is spun up for zero queries
   EXPECT_TRUE(batch.serial_reason.empty());
@@ -138,7 +146,8 @@ TEST_F(ParallelBatchFixture, HugeKStaysCheap) {
   auto method = CreateMethod("UCR-Suite");
   method->Build(data_);
   const core::BatchKnnResult batch = SearchKnnBatch(
-      method.get(), workload_, /*k=*/size_t{1} << 40, /*threads=*/2);
+      method.get(), workload_, core::QuerySpec::Knn(size_t{1} << 40),
+      /*threads=*/2);
   for (const auto& r : batch.queries) {
     EXPECT_EQ(r.neighbors.size(), data_.size());  // everything is a match
   }

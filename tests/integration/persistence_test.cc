@@ -45,11 +45,13 @@ std::string FreshDir(const std::string& name) {
 std::vector<core::QuerySpec> SpecBattery(const core::MethodTraits& traits) {
   std::vector<core::QuerySpec> specs;
   specs.push_back(core::QuerySpec::Knn(5));
-  if (traits.supports_ng) specs.push_back(core::QuerySpec::NgApprox(3));
-  if (traits.supports_epsilon) {
+  if (traits.Has(core::Capability::kNgApprox)) {
+    specs.push_back(core::QuerySpec::NgApprox(3));
+  }
+  if (traits.Has(core::Capability::kEpsilon)) {
     specs.push_back(core::QuerySpec::Epsilon(5, 0.5));
   }
-  if (traits.supports_delta_epsilon) {
+  if (traits.Has(core::Capability::kDeltaEpsilon)) {
     specs.push_back(core::QuerySpec::DeltaEpsilon(5, 0.5, 0.5));
   }
   core::QuerySpec budgeted = core::QuerySpec::Knn(5);
@@ -113,25 +115,12 @@ std::string FileContents(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-TEST(PersistenceRegistry, SevenIndexMethodsPersistScansDoNot) {
-  const auto persistent = bench::PersistentCapableNames();
-  EXPECT_EQ(persistent.size(), 7u);
-  for (const std::string& name : bench::AllMethodNames()) {
-    const core::MethodTraits t = bench::CreateMethod(name)->traits();
-    const bool scan =
-        name == "UCR-Suite" || name == "MASS" || name == "Stepwise";
-    EXPECT_EQ(t.supports_persistence, !scan) << name;
-    if (scan) {
-      EXPECT_FALSE(t.persistence_reason.empty()) << name;
-    }
-  }
-}
-
 TEST(PersistenceRoundTrip, OpenedIndexAnswersBitIdentically) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
   int ordinal = 0;
-  for (const std::string& name : bench::PersistentCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kPersistence)) {
     const std::string dir =
         FreshDir("roundtrip_" + std::to_string(ordinal++));
     auto built = bench::CreateMethod(name, kLeaf);
@@ -172,7 +161,8 @@ TEST(PersistenceRoundTrip, SerializationIsDeterministic) {
   // must produce byte-identical files: replicas built from one master
   // index are interchangeable.
   const core::Dataset data = TestData();
-  for (const std::string& name : bench::PersistentCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kPersistence)) {
     auto built = bench::CreateMethod(name, kLeaf);
     built->Build(data);
     const std::string dir_a = FreshDir("det_a");

@@ -53,13 +53,14 @@ TEST_P(RangeQueryTest, MatchesBruteForceRange) {
     for (const double factor : {0.9, 1.1, 1.5, 2.5}) {
       const double radius = base * factor;
       const auto expected = BruteForceRange(data, w.queries[q], radius);
-      core::RangeResult got = method->SearchRange(w.queries[q], radius);
-      ASSERT_EQ(got.matches.size(), expected.size())
+      core::QueryResult got =
+          method->Execute(w.queries[q], core::QuerySpec::Range(radius));
+      ASSERT_EQ(got.neighbors.size(), expected.size())
           << method_name << " " << family << " q=" << q << " r=" << radius;
       for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(got.matches[i].id, expected[i].id)
+        EXPECT_EQ(got.neighbors[i].id, expected[i].id)
             << method_name << " q=" << q << " i=" << i;
-        EXPECT_NEAR(got.matches[i].dist_sq, expected[i].dist_sq,
+        EXPECT_NEAR(got.neighbors[i].dist_sq, expected[i].dist_sq,
                     1e-5 * std::max(1.0, expected[i].dist_sq));
       }
     }
@@ -90,10 +91,10 @@ TEST(RangeQueryEdgeCases, ZeroRadiusFindsExactDuplicates) {
   for (const std::string name : {"DSTree", "VA+file", "UCR-Suite"}) {
     auto method = bench::CreateMethod(name, 32);
     method->Build(data);
-    const auto got = method->SearchRange(base[42], 1e-4);
-    ASSERT_GE(got.matches.size(), 2u) << name;  // original + duplicate
-    EXPECT_NEAR(got.matches[0].dist_sq, 0.0, 1e-8);
-    EXPECT_NEAR(got.matches[1].dist_sq, 0.0, 1e-8);
+    const auto got = method->Execute(base[42], core::QuerySpec::Range(1e-4));
+    ASSERT_GE(got.neighbors.size(), 2u) << name;  // original + duplicate
+    EXPECT_NEAR(got.neighbors[0].dist_sq, 0.0, 1e-8);
+    EXPECT_NEAR(got.neighbors[1].dist_sq, 0.0, 1e-8);
   }
 }
 
@@ -103,8 +104,8 @@ TEST(RangeQueryEdgeCases, HugeRadiusReturnsEverything) {
   for (const std::string& name : bench::AllMethodNames()) {
     auto method = bench::CreateMethod(name, 32);
     method->Build(data);
-    const auto got = method->SearchRange(w.queries[0], 1e6);
-    EXPECT_EQ(got.matches.size(), data.size()) << name;
+    const auto got = method->Execute(w.queries[0], core::QuerySpec::Range(1e6));
+    EXPECT_EQ(got.neighbors.size(), data.size()) << name;
   }
 }
 
@@ -114,8 +115,9 @@ TEST(RangeQueryEdgeCases, EmptyResultForTinyRadius) {
   for (const std::string& name : bench::AllMethodNames()) {
     auto method = bench::CreateMethod(name, 32);
     method->Build(data);
-    const auto got = method->SearchRange(w.queries[0], 1e-6);
-    EXPECT_TRUE(got.matches.empty()) << name;
+    const auto got =
+        method->Execute(w.queries[0], core::QuerySpec::Range(1e-6));
+    EXPECT_TRUE(got.neighbors.empty()) << name;
   }
 }
 
@@ -129,7 +131,7 @@ TEST(RangeQueryEdgeCases, NegativeRadiusViolatesPrecondition) {
   for (const std::string& name : bench::AllMethodNames()) {
     auto method = bench::CreateMethod(name, 32);
     method->Build(data);
-    EXPECT_DEATH(method->SearchRange(w.queries[0], -5.0),
+    EXPECT_DEATH(method->Execute(w.queries[0], core::QuerySpec::Range(-5.0)),
                  "range radius must be non-negative")
         << name;
   }
@@ -143,8 +145,9 @@ TEST(RangeQueryStats, IndexesPruneRangeQueries) {
     method->Build(data);
     for (size_t q = 0; q < w.queries.size(); ++q) {
       const auto nn = core::BruteForceKnn(data, w.queries[q], 1);
+      const double radius = std::sqrt(nn[0].dist_sq) * 1.2;
       const auto got =
-          method->SearchRange(w.queries[q], std::sqrt(nn[0].dist_sq) * 1.2);
+          method->Execute(w.queries[q], core::QuerySpec::Range(radius));
       EXPECT_LT(got.stats.raw_series_examined,
                 static_cast<int64_t>(data.size()))
           << name << " examined everything on a tight range query";

@@ -4,7 +4,6 @@
 // round-trip of the sharded container; budgets split without exceeding the
 // global cap; approximate modes keep their guarantees through the merge;
 // manifest problems surface as clean util::Status errors, never crashes.
-#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -63,7 +62,8 @@ void ExpectSameAnswers(const std::vector<core::Neighbor>& got,
 TEST(ShardedBitIdentity, ExactKnnAndRangeMatchUnshardedEverywhere) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::ShardableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
     // Fresh unsharded reference per method (ADS+ adapts during queries,
     // so references are computed once and reused across cells).
     auto reference = bench::CreateMethod(name, kLeaf);
@@ -109,7 +109,8 @@ TEST(ShardedBitIdentity, ExactKnnAndRangeMatchUnshardedEverywhere) {
 TEST(ShardedPersistence, RoundTripAnswersAreBitIdentical) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::ShardableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
     const std::string dir = FreshDir("shard_rt_" + name);
     auto built = bench::CreateShardedMethod(name, 7, 2, kLeaf);
     built->Build(data);
@@ -155,42 +156,28 @@ TEST(ShardedPersistence, RoundTripAnswersAreBitIdentical) {
   }
 }
 
-TEST(ShardedTraits, SevenIndexMethodsShardScansDoNot) {
-  const auto shardable = bench::ShardableNames();
-  EXPECT_EQ(shardable.size(), 7u);
-  for (const std::string& name : bench::AllMethodNames()) {
-    const core::MethodTraits t = bench::CreateMethod(name)->traits();
-    const bool expected =
-        std::find(shardable.begin(), shardable.end(), name) !=
-        shardable.end();
-    EXPECT_EQ(t.shardable, expected) << name;
-    if (!t.shardable) {
-      EXPECT_FALSE(t.shard_reason.empty()) << name;
-    }
-  }
-  // The container mirrors its component's quality traits but refuses to
-  // nest.
-  for (const std::string& name : shardable) {
+TEST(ShardedTraits, ContainerMirrorsItsComponentButRefusesNesting) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
     const core::MethodTraits inner = bench::CreateMethod(name)->traits();
     const core::MethodTraits outer =
         bench::CreateShardedMethod(name, 2, 1)->traits();
-    EXPECT_EQ(outer.supports_ng, inner.supports_ng) << name;
-    EXPECT_EQ(outer.supports_epsilon, inner.supports_epsilon) << name;
-    EXPECT_EQ(outer.supports_delta_epsilon, inner.supports_delta_epsilon)
-        << name;
-    EXPECT_EQ(outer.leaf_visit_budget, inner.leaf_visit_budget) << name;
-    EXPECT_EQ(outer.supports_persistence, inner.supports_persistence)
-        << name;
-    EXPECT_EQ(outer.concurrent_queries, inner.concurrent_queries) << name;
-    EXPECT_FALSE(outer.shardable) << name;
-    EXPECT_FALSE(outer.shard_reason.empty()) << name;
+    for (const core::Capability c : core::kAllCapabilities) {
+      if (c == core::Capability::kSharding) continue;
+      EXPECT_EQ(outer.Has(c), inner.Has(c))
+          << name << " " << core::CapabilityName(c);
+      EXPECT_EQ(outer.Reason(c), inner.Reason(c))
+          << name << " " << core::CapabilityName(c);
+    }
+    EXPECT_FALSE(outer.Has(core::Capability::kSharding)) << name;
   }
 }
 
 TEST(ShardedBudgets, GlobalRawBudgetIsNeverExceededBySplitShards) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::ShardableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
     for (const int64_t budget : {int64_t{3}, int64_t{50}}) {
       // budget=3 over 7 shards starves four of them (split rule: B/N with
       // the first B mod N shards getting one extra).
@@ -222,7 +209,8 @@ TEST(ShardedModes, EpsilonGuaranteeSurvivesTheMerge) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
   constexpr double kEps = 0.5;
-  for (const std::string& name : bench::ShardableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
     auto sharded = bench::CreateShardedMethod(name, 7, 2, kLeaf);
     sharded->Build(data);
     for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
@@ -247,7 +235,8 @@ TEST(ShardedModes, EpsilonGuaranteeSurvivesTheMerge) {
 TEST(ShardedModes, NgFanOutMergesOneDescentPerShard) {
   const core::Dataset data = TestData();
   const gen::Workload workload = TestQueries();
-  for (const std::string& name : bench::NgCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kNgApprox)) {
     auto sharded = bench::CreateShardedMethod(name, 2, 2, kLeaf);
     sharded->Build(data);
     const core::QueryResult r = sharded->Execute(

@@ -108,14 +108,16 @@ TEST_F(StorageIdentityTest, AllMethodsExactEpsilonAndBudgeted) {
   budgeted.max_raw_series = 200;  // binds for every method
   const std::vector<core::QuerySpec> specs = {
       core::QuerySpec::Knn(5), core::QuerySpec::Epsilon(5, 0.1), budgeted};
-  for (const std::string& name : bench::ShardableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
     SCOPED_TRACE(name);
     CheckMethod(name, specs);
   }
 }
 
 TEST_F(StorageIdentityTest, RangeQueriesMatch) {
-  for (const std::string& name : bench::ShardableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kSharding)) {
     SCOPED_TRACE(name);
     auto on_ram = bench::CreateMethod(name, kLeaf);
     auto on_mmap = bench::CreateMethod(name, kLeaf);
@@ -126,10 +128,12 @@ TEST_F(StorageIdentityTest, RangeQueriesMatch) {
       // A radius at the 5th neighbor guarantees a non-trivial match set.
       const auto truth = core::BruteForceKnn(ram_.dataset(), query, 5);
       const double radius = std::sqrt(truth.back().dist_sq) + 1e-6;
-      core::RangeResult a = on_ram->SearchRange(query, radius);
-      core::RangeResult b = on_mmap->SearchRange(query, radius);
-      ASSERT_GE(a.matches.size(), 5u) << name;
-      ExpectSameAnswers(a.matches, b.matches, name);
+      core::QueryResult a =
+          on_ram->Execute(query, core::QuerySpec::Range(radius));
+      core::QueryResult b =
+          on_mmap->Execute(query, core::QuerySpec::Range(radius));
+      ASSERT_GE(a.neighbors.size(), 5u) << name;
+      ExpectSameAnswers(a.neighbors, b.neighbors, name);
     }
   }
 }
@@ -145,8 +149,8 @@ TEST_F(StorageIdentityTest, ShardedCompositionMatches) {
     on_mmap->Build(mmap_.dataset());
     for (size_t qi = 0; qi < workload_.queries.size(); ++qi) {
       const core::SeriesView query = workload_.queries[qi];
-      core::KnnResult a = on_ram->SearchKnn(query, 5);
-      core::KnnResult b = on_mmap->SearchKnn(query, 5);
+      core::QueryResult a = on_ram->Execute(query, core::QuerySpec::Knn(5));
+      core::QueryResult b = on_mmap->Execute(query, core::QuerySpec::Knn(5));
       ExpectSameAnswers(a.neighbors, b.neighbors, name);
       EXPECT_GT(b.stats.pool_misses, 0) << name;
     }
@@ -156,7 +160,8 @@ TEST_F(StorageIdentityTest, ShardedCompositionMatches) {
 TEST_F(StorageIdentityTest, IntraQueryParallelMatches) {
   core::QuerySpec spec = core::QuerySpec::Knn(5);
   spec.query_threads = 2;
-  for (const std::string& name : bench::IntraQueryCapableNames()) {
+  for (const std::string& name :
+       bench::NamesWith(core::Capability::kIntraQuery)) {
     SCOPED_TRACE(name);
     auto on_ram = bench::CreateMethod(name, kLeaf);
     auto on_mmap = bench::CreateMethod(name, kLeaf);

@@ -27,7 +27,7 @@ TEST_P(ScanProperty, StepwiseExactAtAnyRefineDepth) {
     method.Build(data);
     for (size_t q = 0; q < w.queries.size(); ++q) {
       const auto expected = core::BruteForceKnn(data, w.queries[q], 1);
-      const auto got = method.SearchKnn(w.queries[q], 1);
+      const auto got = method.Execute(w.queries[q], core::QuerySpec::Knn(1));
       ASSERT_EQ(got.neighbors.size(), 1u);
       EXPECT_NEAR(got.neighbors[0].dist_sq, expected[0].dist_sq,
                   1e-5 * std::max(1.0, expected[0].dist_sq))
@@ -43,7 +43,8 @@ TEST_P(ScanProperty, StepwisePrunesEasyQueries) {
   scan::Stepwise method;
   method.Build(data);
   for (size_t q = 0; q < easy.queries.size(); ++q) {
-    const auto result = method.SearchKnn(easy.queries[q], 1);
+    const auto result =
+        method.Execute(easy.queries[q], core::QuerySpec::Knn(1));
     EXPECT_LT(result.stats.raw_series_examined,
               static_cast<int64_t>(data.size()) / 2)
         << "multi-step filtering failed to prune an easy query";
@@ -57,7 +58,7 @@ TEST_P(ScanProperty, MassMatchesDirectDistances) {
   scan::MassScan mass;
   mass.Build(data);
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    const auto got = mass.SearchKnn(w.queries[q], 3);
+    const auto got = mass.Execute(w.queries[q], core::QuerySpec::Knn(3));
     const auto expected = core::BruteForceKnn(data, w.queries[q], 3);
     for (size_t i = 0; i < 3; ++i) {
       EXPECT_NEAR(got.neighbors[i].dist_sq, expected[i].dist_sq,
@@ -90,8 +91,8 @@ TEST(ScanOrderInvariance, UcrResultUnaffectedByDataOrder) {
   a.Build(data);
   b.Build(shuffled);
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    const auto ra = a.SearchKnn(w.queries[q], 1);
-    const auto rb = b.SearchKnn(w.queries[q], 1);
+    const auto ra = a.Execute(w.queries[q], core::QuerySpec::Knn(1));
+    const auto rb = b.Execute(w.queries[q], core::QuerySpec::Knn(1));
     EXPECT_NEAR(ra.neighbors[0].dist_sq, rb.neighbors[0].dist_sq, 1e-9);
   }
 }
@@ -108,8 +109,10 @@ TEST(ScanCpuCharacter, MassIsCpuHeavierThanUcr) {
   double ucr_cpu = 0.0;
   double mass_cpu = 0.0;
   for (size_t q = 0; q < w.queries.size(); ++q) {
-    ucr_cpu += ucr.SearchKnn(w.queries[q], 1).stats.cpu_seconds;
-    mass_cpu += mass.SearchKnn(w.queries[q], 1).stats.cpu_seconds;
+    ucr_cpu += ucr.Execute(w.queries[q], core::QuerySpec::Knn(1))
+                   .stats.cpu_seconds;
+    mass_cpu += mass.Execute(w.queries[q], core::QuerySpec::Knn(1))
+                    .stats.cpu_seconds;
   }
   EXPECT_GT(mass_cpu, ucr_cpu);
 }

@@ -283,14 +283,7 @@ TEST(ServeProtocolTest, ErrorCodeNamesAreStable) {
   EXPECT_STREQ(ErrorCodeName(ErrorCode::kInternal), "internal");
 }
 
-core::MethodTraits TreeTraits() {
-  core::MethodTraits traits;
-  traits.supports_ng = true;
-  traits.supports_epsilon = true;
-  traits.supports_delta_epsilon = true;
-  traits.leaf_visit_budget = true;
-  return traits;
-}
+core::MethodTraits TreeTraits() { return core::MethodTraits::AllExcept({}); }
 
 TEST(ServeProtocolTest, ValidateRequestAcceptsSupportedSpecs) {
   QueryRequest request;

@@ -77,7 +77,7 @@ TEST(ChopForWholeMatching, SubsequenceQueryFindsPlantedPattern) {
   std::vector<core::Value> query(pattern_src[0].begin(),
                                  pattern_src[0].end());
   core::ZNormalize(query);
-  const auto result = index->SearchKnn(query, 1);
+  const auto result = index->Execute(query, core::QuerySpec::Knn(1));
   ASSERT_EQ(result.neighbors.size(), 1u);
   const auto& origin = chopped.origins[result.neighbors[0].id];
   EXPECT_EQ(origin.source, 3u);

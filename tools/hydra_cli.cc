@@ -100,6 +100,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -307,6 +308,19 @@ struct QueryFlags {
   }
 };
 
+/// The one capability refusal: when `reason` is non-empty (a capability
+/// table reason, or a mode fallback reason) prints "error: <method> does not
+/// support <what> (<reason>)<hint>" and returns true — every refusal exits
+/// 1 with the method's own reason, never a silent fallback or CHECK abort.
+bool Refused(std::string_view reason, const std::string& method_name,
+             const std::string& what, const char* hint = "") {
+  if (reason.empty()) return false;
+  std::fprintf(stderr, "error: %s does not support %s (%.*s)%s\n",
+               method_name.c_str(), what.c_str(),
+               static_cast<int>(reason.size()), reason.data(), hint);
+  return true;
+}
+
 /// Validates the QuerySpec flags and fills `*spec` (kind kKnn; the caller
 /// sets k). Returns false after printing an error: every malformed value,
 /// inconsistent flag combination, or mode the method's traits do not
@@ -395,23 +409,15 @@ bool BuildQuerySpec(const QueryFlags& flags, const core::MethodTraits& traits,
   }
   // A leaf budget that can never bind would be silently inert — refuse it
   // with the same honesty --mode combinations get.
-  if (flags.max_leaves != nullptr && !traits.leaf_visit_budget) {
-    std::fprintf(stderr,
-                 "error: %s has no leaf-visit budget unit, so --max-leaves "
-                 "could never fire; cap work with --max-raw instead\n",
-                 method_name.c_str());
+  if (flags.max_leaves != nullptr &&
+      Refused(traits.Reason(core::Capability::kLeafBudget), method_name,
+              "--max-leaves", "; cap work with --max-raw instead")) {
     return false;
   }
   // Honest refusal instead of a silent exact answer: the method must
   // advertise the requested mode.
-  const std::string reason = core::ModeFallbackReason(traits, spec->mode);
-  if (!reason.empty()) {
-    std::fprintf(stderr, "error: %s does not support --mode %s (%s)\n",
-                 method_name.c_str(), core::QualityModeName(spec->mode),
-                 reason.c_str());
-    return false;
-  }
-  return true;
+  return !Refused(core::ModeFallbackReason(traits, spec->mode), method_name,
+                  std::string("--mode ") + core::QualityModeName(spec->mode));
 }
 
 /// Extracts a `--shards N` option (anywhere in argv) into `*shards` and
@@ -443,10 +449,8 @@ std::unique_ptr<core::SearchMethod> MakeMethod(const std::string& name,
                                                uint64_t threads) {
   auto method = bench::CreateMethod(name);
   if (shards == 0) return method;
-  const core::MethodTraits traits = method->traits();
-  if (!traits.shardable) {
-    std::fprintf(stderr, "error: %s does not support --shards (%s)\n",
-                 name.c_str(), traits.shard_reason.c_str());
+  if (Refused(method->traits().Reason(core::Capability::kSharding), name,
+              "--shards")) {
     return nullptr;
   }
   return bench::CreateShardedMethod(name, static_cast<size_t>(shards),
@@ -493,19 +497,6 @@ bool ExtractQueryThreads(std::vector<char*>* args, uint64_t* query_threads) {
     return false;
   }
   return true;
-}
-
-/// The traits-derived --query-threads gate shared by `query` and `range`:
-/// refuses (exit 1 path, returns false) a width > 1 on a method whose
-/// traversal does not run on the shared engine, printing the method's own
-/// reason — never a silently serial "parallel" run.
-bool CheckQueryThreads(const core::MethodTraits& traits,
-                       const std::string& method_name,
-                       uint64_t query_threads) {
-  if (query_threads <= 1 || traits.intra_query_parallel) return true;
-  std::fprintf(stderr, "error: %s does not support --query-threads (%s)\n",
-               method_name.c_str(), traits.intra_query_reason.c_str());
-  return false;
 }
 
 /// The daemon flags of `hydra serve` (and --port of the client modes),
@@ -815,10 +806,9 @@ int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
   if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
   auto method = MakeMethod(argv[3], shards, threads);
   if (method == nullptr) return 1;
-  const core::MethodTraits traits = method->traits();
-  if (index_dir != nullptr && !traits.supports_persistence) {
-    std::fprintf(stderr, "error: %s does not support --index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
+  if (index_dir != nullptr &&
+      Refused(method->traits().Reason(core::Capability::kPersistence),
+              method->name(), "--index")) {
     return 1;
   }
   storage::StorageHandle stored;
@@ -941,13 +931,9 @@ int CmdQueryd(int argc, char** argv, const QueryFlags& flags,
   // Client-side parsing is syntactic only: the *server's* method traits
   // decide which modes are honestly answerable, and it refuses with a
   // BAD_QUERY frame — so validate against permissive traits here.
-  core::MethodTraits permissive;
-  permissive.supports_ng = true;
-  permissive.supports_epsilon = true;
-  permissive.supports_delta_epsilon = true;
-  permissive.leaf_visit_budget = true;
   core::QuerySpec spec = core::QuerySpec::Knn(k);
-  if (!BuildQuerySpec(flags, permissive, "the served method", &spec)) {
+  if (!BuildQuerySpec(flags, core::MethodTraits::AllExcept({}),
+                      "the served method", &spec)) {
     return 1;
   }
   auto loaded = Load(argv[2]);
@@ -1022,7 +1008,13 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
   if (!BuildQuerySpec(flags, traits, method->name(), &spec)) {
     return 1;
   }
-  if (!CheckQueryThreads(traits, method->name(), query_threads)) return 1;
+  // A width > 1 on a method off the shared traversal engine is refused,
+  // never run as a silently serial "parallel" query.
+  if (query_threads > 1 &&
+      Refused(traits.Reason(core::Capability::kIntraQuery), method->name(),
+              "--query-threads")) {
+    return 1;
+  }
   spec.query_threads = static_cast<size_t>(query_threads);
   if (query_threads > 1 &&
       (spec.mode != core::QualityMode::kExact || spec.has_budget())) {
@@ -1043,9 +1035,9 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
   }
   // Honest refusal before touching the data file: --index on a method
   // that cannot persist an index could never succeed.
-  if (index_dir != nullptr && !traits.supports_persistence) {
-    std::fprintf(stderr, "error: %s does not support --index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
+  if (index_dir != nullptr &&
+      Refused(traits.Reason(core::Capability::kPersistence), method->name(),
+              "--index")) {
     return 1;
   }
   storage::StorageHandle stored;
@@ -1098,7 +1090,7 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
       std::printf("note: --threads parallelizes across queries and a "
                   "single-query batch runs serially; use --query-threads "
                   "to parallelize within the query%s\n",
-                  traits.intra_query_parallel
+                  traits.Has(core::Capability::kIntraQuery)
                       ? ""
                       : " (not supported by this method)");
     } else {
@@ -1121,8 +1113,10 @@ int CmdRange(int argc, char** argv, uint64_t threads, uint64_t shards,
   errno = 0;
   char* end = nullptr;
   const double radius = std::strtod(argv[4], &end);
-  if (errno != 0 || end == argv[4] || *end != '\0' || !(radius >= 0.0)) {
-    std::fprintf(stderr, "error: radius must be a non-negative number\n");
+  if (errno != 0 || end == argv[4] || *end != '\0' || !(radius >= 0.0) ||
+      !std::isfinite(radius)) {
+    std::fprintf(stderr,
+                 "error: radius must be a finite non-negative number\n");
     return 1;
   }
   uint64_t queries = 10;
@@ -1132,10 +1126,14 @@ int CmdRange(int argc, char** argv, uint64_t threads, uint64_t shards,
   auto method = MakeMethod(argv[3], shards, threads);
   if (method == nullptr) return 1;
   const core::MethodTraits traits = method->traits();
-  if (!CheckQueryThreads(traits, method->name(), query_threads)) return 1;
-  if (index_dir != nullptr && !traits.supports_persistence) {
-    std::fprintf(stderr, "error: %s does not support --index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
+  if (query_threads > 1 &&
+      Refused(traits.Reason(core::Capability::kIntraQuery), method->name(),
+              "--query-threads")) {
+    return 1;
+  }
+  if (index_dir != nullptr &&
+      Refused(traits.Reason(core::Capability::kPersistence), method->name(),
+              "--index")) {
     return 1;
   }
   storage::StorageHandle stored;
@@ -1166,13 +1164,10 @@ int CmdBuild(int argc, char** argv, uint64_t threads, uint64_t shards,
   if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
   auto method = MakeMethod(argv[3], shards, threads);
   if (method == nullptr) return 1;
-  const core::MethodTraits traits = method->traits();
   // Traits-derived refusal before any expensive work: a method without
   // DoSave/DoOpen hooks can never produce an index directory.
-  if (!traits.supports_persistence) {
-    std::fprintf(stderr,
-                 "error: %s does not support a persisted index (%s)\n",
-                 method->name().c_str(), traits.persistence_reason.c_str());
+  if (Refused(method->traits().Reason(core::Capability::kPersistence),
+              method->name(), "a persisted index")) {
     return 1;
   }
   storage::StorageHandle stored;
@@ -1212,10 +1207,12 @@ int CmdCompare(int argc, char** argv, uint64_t threads) {
   const auto ssd = io::DiskModel::Ssd();
   for (const std::string& name : bench::BestSixNames()) {
     auto method = bench::CreateMethod(name);
-    const core::MethodTraits traits = method->traits();
-    if (threads > 1 && !traits.concurrent_queries) {
-      std::printf("note: %s ran serially: %s\n", name.c_str(),
-                  traits.serial_reason.c_str());
+    const std::string_view serial_reason =
+        method->traits().Reason(core::Capability::kConcurrentQueries);
+    if (threads > 1 && !serial_reason.empty()) {
+      std::printf("note: %s ran serially: %.*s\n", name.c_str(),
+                  static_cast<int>(serial_reason.size()),
+                  serial_reason.data());
     }
     const bench::MethodRun run = bench::RunMethodParallel(
         method.get(), data, probe, /*k=*/1, static_cast<size_t>(threads));
@@ -1273,21 +1270,30 @@ int CmdKernels(int argc, char** argv) {
 }
 
 int CmdMethods() {
-  // The full traits matrix: quality modes, batch concurrency, and index
-  // persistence, each derived from the method's own traits() so this
-  // listing can never drift from what Execute/Save/Open actually accept.
-  util::Table table({"method", "modes", "concurrent", "persistent",
-                     "shardable", "intra-query"});
+  // The full capability table: quality modes plus the execution columns,
+  // each derived from the method's own traits() so this listing can never
+  // drift from what Execute/Save/Open actually accept.
+  constexpr core::Capability kModes[] = {core::Capability::kNgApprox,
+                                         core::Capability::kEpsilon,
+                                         core::Capability::kDeltaEpsilon};
+  constexpr core::Capability kColumns[] = {
+      core::Capability::kConcurrentQueries, core::Capability::kPersistence,
+      core::Capability::kSharding, core::Capability::kIntraQuery};
+  std::vector<std::string> header = {"method", "modes"};
+  for (const core::Capability c : kColumns) {
+    header.push_back(core::CapabilityName(c));
+  }
+  util::Table table(header);
   for (const std::string& name : bench::AllMethodNames()) {
     const core::MethodTraits traits = bench::CreateMethod(name)->traits();
-    std::string modes = "exact";
-    if (traits.supports_ng) modes += ",ng";
-    if (traits.supports_epsilon) modes += ",epsilon";
-    if (traits.supports_delta_epsilon) modes += ",delta-epsilon";
-    table.AddRow({name, modes, traits.concurrent_queries ? "yes" : "no",
-                  traits.supports_persistence ? "yes" : "no",
-                  traits.shardable ? "yes" : "no",
-                  traits.intra_query_parallel ? "yes" : "no"});
+    std::vector<std::string> row = {name, "exact"};
+    for (const core::Capability c : kModes) {
+      if (traits.Has(c)) row[1] += std::string(",") + core::CapabilityName(c);
+    }
+    for (const core::Capability c : kColumns) {
+      row.push_back(traits.Has(c) ? "yes" : "no");
+    }
+    table.AddRow(row);
   }
   table.Print("method traits");
   return 0;
@@ -1469,7 +1475,11 @@ int Main(int argc, char** argv) {
     if (cmd == "kernels") return CmdKernels(n, args.data());
     return Usage();
   }();
-  if (trace_path != nullptr) {
+  if (trace_path != nullptr && rc != 0) {
+    // A failed command has no trace to report: drop the probe's empty file
+    // rather than leave (or announce) a trace of nothing.
+    std::remove(trace_path);
+  } else if (trace_path != nullptr) {
     obs::Tracer& tracer = obs::Tracer::Get();
     tracer.SetMeta("command", cmd);
     if (n > 3) tracer.SetMeta("method", args[3]);
