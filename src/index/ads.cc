@@ -1,10 +1,12 @@
 #include "index/ads.h"
 
 #include <cmath>
+#include <deque>
 #include <memory>
 
 #include "core/distance.h"
 #include "core/traversal.h"
+#include "io/counted_storage.h"
 #include "io/index_codec.h"
 #include "transform/paa.h"
 #include "util/check.h"
@@ -32,7 +34,6 @@ core::BuildStats AdsPlus::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree_->Insert(static_cast<core::SeriesId>(i));
   }
-  raw_ = std::make_unique<io::CountedStorage>(data_);
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -70,7 +71,6 @@ util::Status AdsPlus::DoOpen(io::IndexReader* reader,
       data, &full_words_);
   if (!reader->ok()) return reader->status();
   data_ = &data;
-  raw_ = std::make_unique<io::CountedStorage>(data_);
   return reader->status();
 }
 
@@ -105,9 +105,10 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   std::vector<bool> evaluated(data_->size(), false);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
+    io::CountedStorage raw(data_);  // released before phase 3 reads
     for (const core::SeriesId id : home->ids) {
       if (plan.RawCapReached(&result.stats)) break;
-      const core::SeriesView s = raw_->Read(id, &result.stats);
+      const core::SeriesView s = raw.Read(id, &result.stats);
       const double d = order.Distance(s, heap.Bound());
       ++result.stats.distance_computations;
       ++result.stats.raw_series_examined;
@@ -161,22 +162,18 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   // Phase 3: skip-sequential scan of the raw file over non-pruned series
   // (series already refined in phase 1 are not re-read). Pruning against
   // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
-  // within (1+epsilon) of the truth (exact with the default plan). Extra
-  // workers read through their own storage cursors; budgets and the delta
+  // within (1+epsilon) of the truth (exact with the default plan). Each
+  // worker reads through its own storage cursor; budgets and the delta
   // rule only ever bind at width 1 (Execute's pure-exact gate), where the
   // single block replays the serial scan exactly.
-  raw_->ResetCursor();
-  std::vector<std::unique_ptr<io::CountedStorage>> extra_storage;
-  for (size_t w = 1; w < workers.workers(); ++w) {
-    extra_storage.push_back(std::make_unique<io::CountedStorage>(data_));
-  }
+  std::deque<io::CountedStorage> readers;
+  for (size_t w = 0; w < workers.workers(); ++w) readers.emplace_back(data_);
   std::vector<int64_t> refined(workers.workers(), 0);
   core::ParallelScan(
       workers.workers(), count, /*block=*/1024,
       [&](size_t w, size_t begin, size_t end) {
         core::KnnHeap& local = workers.heap(w);
         core::SearchStats& stats = workers.stats(w);
-        io::CountedStorage& storage = w == 0 ? *raw_ : *extra_storage[w - 1];
         for (size_t i = begin; i < end && !stats.budget_exhausted; ++i) {
           if (evaluated[i] || lb[i] >= local.Bound() * plan.bound_scale) {
             continue;  // skip
@@ -184,7 +181,7 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
           if (plan.RawCapReached(&stats)) break;
           if (refined[w] >= delta_cap) break;  // delta rule: no budget flag
           const core::SeriesView s =
-              storage.Read(static_cast<core::SeriesId>(i), &stats);
+              readers[w].Read(static_cast<core::SeriesId>(i), &stats);
           const double d = order.Distance(s, local.Bound());
           ++stats.distance_computations;
           ++stats.raw_series_examined;
@@ -192,7 +189,6 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
           local.Offer(static_cast<core::SeriesId>(i), d);
         }
       });
-  raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
 
   workers.Finish(plan.k, &result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
@@ -214,21 +210,16 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
   // SIMS with a fixed bound: the approximate phase is unnecessary — prune
   // every summary against r^2, then skip-sequentially refine survivors.
   // Every test uses the fixed radius, so the parallel sweep charges exactly
-  // the serial distance/lower-bound counters; extra workers read through
-  // their own storage cursors.
+  // the serial distance/lower-bound counters; each worker reads through
+  // its own storage cursor.
   const size_t count = data_->size();
-  raw_->ResetCursor();
-  std::vector<std::unique_ptr<io::CountedStorage>> extra_storage;
-  for (size_t w = 1; w < workers.workers(); ++w) {
-    extra_storage.push_back(std::make_unique<io::CountedStorage>(data_));
-  }
+  std::deque<io::CountedStorage> readers;
+  for (size_t w = 0; w < workers.workers(); ++w) readers.emplace_back(data_);
   core::ParallelScan(
       workers.workers(), count, /*block=*/1024,
       [&](size_t worker, size_t begin, size_t end) {
         core::RangeCollector& collector = workers.collector(worker);
         core::SearchStats& stats = workers.stats(worker);
-        io::CountedStorage& storage =
-            worker == 0 ? *raw_ : *extra_storage[worker - 1];
         transform::IsaxWord w;
         w.bits.assign(segments, static_cast<uint8_t>(transform::kMaxSaxBits));
         w.symbols.resize(segments);
@@ -239,14 +230,13 @@ core::QueryResult AdsPlus::DoSearchRange(core::SeriesView query,
           ++stats.lower_bound_computations;
           if (transform::IsaxMinDistSq(paa, w, pps) > radius_sq) continue;
           const core::SeriesView s =
-              storage.Read(static_cast<core::SeriesId>(i), &stats);
+              readers[worker].Read(static_cast<core::SeriesId>(i), &stats);
           const double d = order.Distance(s, collector.Bound());
           ++stats.distance_computations;
           ++stats.raw_series_examined;
           collector.Offer(static_cast<core::SeriesId>(i), d);
         }
       });
-  raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
 
   workers.Finish(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
@@ -269,15 +259,15 @@ core::QueryResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
+    io::CountedStorage raw(data_);
     for (const core::SeriesId id : home->ids) {
-      const core::SeriesView s = raw_->Read(id, &result.stats);
+      const core::SeriesView s = raw.Read(id, &result.stats);
       const double d = order.Distance(s, heap.Bound());
       ++result.stats.distance_computations;
       ++result.stats.raw_series_examined;
       heap.Offer(id, d);
     }
   }
-  raw_->ReleasePin();  // raw_ outlives the query; never idle on a frame
   result.neighbors = heap.TakeSorted();
   result.stats.cpu_seconds = timer.Seconds();
   return result;

@@ -10,7 +10,6 @@
 
 #include "core/method.h"
 #include "index/isax_tree.h"
-#include "io/counted_storage.h"
 
 namespace hydra::index {
 
@@ -66,7 +65,6 @@ class AdsPlus : public core::SearchMethod {
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;
   std::unique_ptr<IsaxTree> tree_;
-  std::unique_ptr<io::CountedStorage> raw_;
 };
 
 }  // namespace hydra::index

@@ -367,24 +367,6 @@ void DsTree::SplitLeaf(Node* leaf) {
   leaf->is_leaf = false;
 }
 
-void DsTree::VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                       const core::KnnPlan& plan, core::KnnHeap* heap,
-                       core::SearchStats* stats) const {
-  if (leaf.ids.empty()) return;
-  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.ids.size());
-  io::ChargeLeafRead(leaf.ids.size(), data_->length() * sizeof(core::Value),
-                     stats);
-  io::CountedStorage raw(data_);
-  for (const core::SeriesId id : leaf.ids) {
-    if (plan.RawCapReached(stats)) return;
-    const double d = order.Distance(raw.ReadPrecharged(id, stats),
-                                    heap->Bound());
-    ++stats->distance_computations;
-    ++stats->raw_series_examined;
-    heap->Offer(id, d);
-  }
-}
-
 core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
                                       const core::KnnPlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
@@ -407,7 +389,7 @@ core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
   }
   ++result.stats.nodes_visited;
   const Node* home = node;
-  VisitLeaf(*home, order, plan, &heap, &result.stats);
+  io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats, plan.max_raw);
 
   // Best-first traversal with the EAPCA node lower bound. Pruning against
   // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
@@ -440,7 +422,8 @@ core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
               stop[w] = 1;
               return;
             }
-            VisitLeaf(*item.node, order, plan, &workers.heap(w), &stats);
+            io::VerifyLeaf(data_, item.node->ids, order, &workers.heap(w),
+                           &stats, plan.max_raw);
             ++leaves[w];
           }
           return;
@@ -502,21 +485,11 @@ core::QueryResult DsTree::DoSearchRange(core::SeriesView query,
       [](const Item&, size_t) { return false; },
       [&](const Item& item, size_t w,
           const std::function<void(Item)>& push) {
-        core::RangeCollector& collector = workers.collector(w);
         core::SearchStats& stats = workers.stats(w);
         ++stats.nodes_visited;
         if (item.node->is_leaf) {
-          HYDRA_OBS_SPAN_ARG("leaf_verify", "series", item.node->ids.size());
-          io::ChargeLeafRead(item.node->ids.size(),
-                             data_->length() * sizeof(core::Value), &stats);
-          io::CountedStorage raw(data_);
-          for (const core::SeriesId id : item.node->ids) {
-            const double d = order.Distance(
-                raw.ReadPrecharged(id, &stats), collector.Bound());
-            ++stats.distance_computations;
-            ++stats.raw_series_examined;
-            collector.Offer(id, d);
-          }
+          io::VerifyLeaf(data_, item.node->ids, order, &workers.collector(w),
+                         &stats);
           return;
         }
         for (const Node* child :
@@ -548,7 +521,7 @@ core::QueryResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
     node = (v <= node->split_value ? node->left : node->right).get();
   }
   ++result.stats.nodes_visited;
-  VisitLeaf(*node, order, core::KnnPlan{.k = k}, &heap, &result.stats);
+  io::VerifyLeaf(data_, node->ids, order, &heap, &result.stats);
   heap.ExtractSortedTo(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;

@@ -72,11 +72,6 @@ class DsTree : public core::SearchMethod {
 
   void Insert(core::SeriesId id, const Prefix& p);
   void SplitLeaf(Node* leaf);
-  /// Scans a leaf's raw series into the heap, honoring the plan's raw
-  /// budget (sets stats->budget_exhausted and stops when it fires).
-  void VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                 const core::KnnPlan& plan, core::KnnHeap* heap,
-                 core::SearchStats* stats) const;
 
   DsTreeOptions options_;
   const core::Dataset* data_ = nullptr;

@@ -73,25 +73,6 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
   return reader->status();
 }
 
-void Isax2Plus::VisitLeaf(const IsaxTree::Node& leaf,
-                          const core::QueryOrder& order,
-                          const core::KnnPlan& plan, core::KnnHeap* heap,
-                          core::SearchStats* stats) const {
-  if (leaf.ids.empty()) return;
-  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.ids.size());
-  io::ChargeLeafRead(leaf.ids.size(), data_->length() * sizeof(core::Value),
-                     stats);
-  io::CountedStorage raw(data_);
-  for (const core::SeriesId id : leaf.ids) {
-    if (plan.RawCapReached(stats)) return;
-    const double d = order.Distance(raw.ReadPrecharged(id, stats),
-                                    heap->Bound());
-    ++stats->distance_computations;
-    ++stats->raw_series_examined;
-    heap->Offer(id, d);
-  }
-}
-
 core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
                                          const core::KnnPlan& plan) {
   HYDRA_CHECK(tree_ != nullptr);
@@ -113,7 +94,8 @@ core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
   IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    VisitLeaf(*home, order, plan, &heap, &result.stats);
+    io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats,
+                   plan.max_raw);
   }
 
   // A budget exhausted already in the home leaf makes the answer final:
@@ -151,7 +133,8 @@ core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
           stop[w] = 1;
           return;
         }
-        VisitLeaf(*leaf, order, plan, &workers.heap(w), &workers.stats(w));
+        io::VerifyLeaf(data_, leaf->ids, order, &workers.heap(w),
+                       &workers.stats(w), plan.max_raw);
         ++leaves[w];
       },
       [&](size_t w) { return &workers.stats(w); });
@@ -176,20 +159,8 @@ core::QueryResult Isax2Plus::DoSearchRange(core::SeriesView query,
       paa, pps, workers.workers(),
       [&](size_t w) { return workers.collector(w).Bound(); },
       [&](IsaxTree::Node* leaf, size_t w) {
-        if (leaf->ids.empty()) return;
-        HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf->ids.size());
-        core::RangeCollector& collector = workers.collector(w);
-        core::SearchStats& stats = workers.stats(w);
-        io::ChargeLeafRead(leaf->ids.size(),
-                           data_->length() * sizeof(core::Value), &stats);
-        io::CountedStorage raw(data_);
-        for (const core::SeriesId id : leaf->ids) {
-          const double d = order.Distance(raw.ReadPrecharged(id, &stats),
-                                          collector.Bound());
-          ++stats.distance_computations;
-          ++stats.raw_series_examined;
-          collector.Offer(id, d);
-        }
+        io::VerifyLeaf(data_, leaf->ids, order, &workers.collector(w),
+                       &workers.stats(w));
       },
       [&](size_t w) { return &workers.stats(w); });
 
@@ -215,7 +186,7 @@ core::QueryResult Isax2Plus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    VisitLeaf(*home, order, core::KnnPlan{.k = k}, &heap, &result.stats);
+    io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats);
   }
   heap.ExtractSortedTo(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();

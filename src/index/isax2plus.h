@@ -48,12 +48,6 @@ class Isax2Plus : public core::SearchMethod {
                                   const core::RangePlan& plan) override;
 
  private:
-  /// Scans a leaf's raw series into the heap, honoring the plan's raw
-  /// budget (sets stats->budget_exhausted and stops when it fires).
-  void VisitLeaf(const IsaxTree::Node& leaf, const core::QueryOrder& order,
-                 const core::KnnPlan& plan, core::KnnHeap* heap,
-                 core::SearchStats* stats) const;
-
   Isax2PlusOptions options_;
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;  // segments symbols per series

@@ -284,24 +284,6 @@ double SfaTrie::NodeLowerBound(std::span<const double> q_dft,
       q_dft.data(), node.mbr_min.data(), node.mbr_max.data(), q_dft.size());
 }
 
-void SfaTrie::VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                        const core::KnnPlan& plan, core::KnnHeap* heap,
-                        core::SearchStats* stats) const {
-  if (leaf.ids.empty()) return;
-  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.ids.size());
-  io::ChargeLeafRead(leaf.ids.size(), data_->length() * sizeof(core::Value),
-                     stats);
-  io::CountedStorage raw(data_);
-  for (const core::SeriesId id : leaf.ids) {
-    if (plan.RawCapReached(stats)) return;
-    const double d = order.Distance(raw.ReadPrecharged(id, stats),
-                                    heap->Bound());
-    ++stats->distance_computations;
-    ++stats->raw_series_examined;
-    heap->Offer(id, d);
-  }
-}
-
 core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
                                        const core::KnnPlan& plan) {
   HYDRA_CHECK(root_ != nullptr);
@@ -328,7 +310,8 @@ core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
   std::vector<uint8_t> stop(workers.workers(), 0);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    VisitLeaf(*home, order, plan, &heap, &result.stats);
+    io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats,
+                   plan.max_raw);
     leaves[0] = 1;
   }
 
@@ -359,7 +342,8 @@ core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
               stop[w] = 1;
               return;
             }
-            VisitLeaf(*item.node, order, plan, &workers.heap(w), &stats);
+            io::VerifyLeaf(data_, item.node->ids, order, &workers.heap(w),
+                           &stats, plan.max_raw);
             ++leaves[w];
           }
           return;
@@ -415,21 +399,11 @@ core::QueryResult SfaTrie::DoSearchRange(core::SeriesView query,
       [](const Item&, size_t) { return false; },
       [&](const Item& item, size_t w,
           const std::function<void(Item)>& push) {
-        core::RangeCollector& collector = workers.collector(w);
         core::SearchStats& stats = workers.stats(w);
         ++stats.nodes_visited;
         if (item.node->is_leaf) {
-          HYDRA_OBS_SPAN_ARG("leaf_verify", "series", item.node->ids.size());
-          io::ChargeLeafRead(item.node->ids.size(),
-                             data_->length() * sizeof(core::Value), &stats);
-          io::CountedStorage raw(data_);
-          for (const core::SeriesId id : item.node->ids) {
-            const double d = order.Distance(
-                raw.ReadPrecharged(id, &stats), collector.Bound());
-            ++stats.distance_computations;
-            ++stats.raw_series_examined;
-            collector.Offer(id, d);
-          }
+          io::VerifyLeaf(data_, item.node->ids, order, &workers.collector(w),
+                         &stats);
           return;
         }
         for (const auto& slot : item.node->children) {
@@ -474,7 +448,7 @@ core::QueryResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
   }
   if (node->is_leaf) {
     ++result.stats.nodes_visited;
-    VisitLeaf(*node, order, core::KnnPlan{.k = k}, &heap, &result.stats);
+    io::VerifyLeaf(data_, node->ids, order, &heap, &result.stats);
   }
   heap.ExtractSortedTo(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();

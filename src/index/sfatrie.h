@@ -60,11 +60,6 @@ class SfaTrie : public core::SearchMethod {
 
   void Insert(core::SeriesId id, Node* node);
   void SplitLeaf(Node* leaf);
-  /// Scans a leaf's raw series into the heap, honoring the plan's raw
-  /// budget (sets stats->budget_exhausted and stops when it fires).
-  void VisitLeaf(const Node& leaf, const core::QueryOrder& order,
-                 const core::KnnPlan& plan, core::KnnHeap* heap,
-                 core::SearchStats* stats) const;
   double NodeLowerBound(std::span<const double> q_dft, const Node& node) const;
 
   SfaTrieOptions options_;

@@ -31,24 +31,11 @@ core::SeriesView CountedStorage::ReadPrecharged(core::SeriesId i,
   return Fetch(i, stats);
 }
 
-void ChargeLeafRead(size_t series_count, size_t series_bytes,
-                    core::SearchStats* stats) {
-  if (stats == nullptr) return;
-  ++stats->random_seeks;
-  stats->sequential_reads += static_cast<int64_t>(series_count);
-  stats->bytes_read += static_cast<int64_t>(series_count * series_bytes);
-}
-
-void ChargeSequentialRead(size_t series_count, size_t series_bytes,
+void ChargeContiguousRead(size_t series_count, size_t series_bytes,
                           core::SearchStats* stats) {
-  if (stats == nullptr) return;
+  ++stats->random_seeks;
   stats->sequential_reads += static_cast<int64_t>(series_count);
   stats->bytes_read += static_cast<int64_t>(series_count * series_bytes);
-}
-
-void ChargeScanStart(core::SearchStats* stats) {
-  if (stats == nullptr) return;
-  ++stats->random_seeks;
 }
 
 }  // namespace hydra::io

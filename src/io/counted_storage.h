@@ -14,11 +14,15 @@
 #define HYDRA_IO_COUNTED_STORAGE_H_
 
 #include <cstdint>
+#include <span>
 
 #include "core/dataset.h"
+#include "core/distance.h"
+#include "core/query_spec.h"
 #include "core/raw_source.h"
 #include "core/search_stats.h"
 #include "core/types.h"
+#include "obs/trace.h"
 
 namespace hydra::io {
 
@@ -34,7 +38,10 @@ namespace hydra::io {
 /// frame that the reader keeps pinned only until its next fetch); callers
 /// consume the series — compute its distance — before reading the next.
 /// One CountedStorage serves one thread; concurrent readers each get
-/// their own (they share the pool underneath).
+/// their own (they share the pool underneath). Readers are query-scoped:
+/// none outlives the query (or leaf) that created it, so an idle reader
+/// never sits on a frame — that is what keeps the pool's blocking wait
+/// deadlock-free.
 class CountedStorage {
  public:
   explicit CountedStorage(const core::Dataset* data);
@@ -45,19 +52,11 @@ class CountedStorage {
   core::SeriesView Read(core::SeriesId i, core::SearchStats* stats);
 
   /// Reads series `i` *without* touching the modeled ledger or the
-  /// cursor: for tree-method leaf loops whose modeled cost was already
-  /// charged in bulk by ChargeLeafRead. Measured pool counters are still
-  /// recorded — they track what the storage layer actually did.
+  /// cursor: for leaf loops whose modeled cost was already charged in
+  /// bulk (VerifyLeaf) or that the model does not charge at all (the
+  /// memory-resident M-tree). Measured pool counters are still recorded —
+  /// they track what the storage layer actually did.
   core::SeriesView ReadPrecharged(core::SeriesId i, core::SearchStats* stats);
-
-  /// Forgets the cursor position (e.g., between build and query phases).
-  void ResetCursor() { cursor_ = kNoCursor; }
-
-  /// Drops the buffer-pool frame held since the last read (no-op for RAM
-  /// datasets or when nothing is pinned). Long-lived readers call this at
-  /// the end of each query: an idle reader must never sit on a frame —
-  /// that is what makes the pool's blocking wait deadlock-free.
-  void ReleasePin() { pin_.Release(); }
 
   const core::Dataset& data() const { return *data_; }
   size_t series_bytes() const { return data_->length() * sizeof(core::Value); }
@@ -81,19 +80,41 @@ class CountedStorage {
   int64_t cursor_ = kNoCursor;
 };
 
-/// Charges the read of one index leaf holding `series_count` series of
-/// `series_bytes` bytes each: one random access (the paper's definition of
-/// a random disk access for tree indexes) plus contiguous reads.
-void ChargeLeafRead(size_t series_count, size_t series_bytes,
-                    core::SearchStats* stats);
-
-/// Charges a purely sequential scan segment of `series_count` series (no
-/// initial seek; use ChargeScanStart for the first access of a pass).
-void ChargeSequentialRead(size_t series_count, size_t series_bytes,
+/// Charges one contiguous read of `series_count` series of `series_bytes`
+/// bytes each: one random access (positioning) plus the sequential reads.
+/// This is the paper's cost of one tree-index leaf, and of a sequential
+/// scan pass over the file.
+void ChargeContiguousRead(size_t series_count, size_t series_bytes,
                           core::SearchStats* stats);
 
-/// Charges the initial seek of a sequential pass over a file.
-void ChargeScanStart(core::SearchStats* stats);
+/// Verifies one index leaf stored contiguously on disk — the read model of
+/// DSTree, iSAX2+ and SFA. The whole leaf is charged up front with
+/// ChargeContiguousRead (a budget cut mid-leaf still paid for the leaf),
+/// then each series is fetched through a leaf-scoped reader, its
+/// early-abandoned distance computed against the sink's bound, and offered
+/// to `sink` (a core::KnnHeap or core::RangeCollector). Stops and sets
+/// `budget_exhausted` once `raw_series_examined` reaches `max_raw`.
+template <typename Sink>
+void VerifyLeaf(const core::Dataset* data, std::span<const core::SeriesId> ids,
+                const core::QueryOrder& order, Sink* sink,
+                core::SearchStats* stats,
+                int64_t max_raw = core::KnnPlan::kUnlimited) {
+  if (ids.empty()) return;
+  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", ids.size());
+  CountedStorage raw(data);
+  ChargeContiguousRead(ids.size(), raw.series_bytes(), stats);
+  for (const core::SeriesId id : ids) {
+    if (stats->raw_series_examined >= max_raw) {
+      stats->budget_exhausted = true;
+      return;
+    }
+    const double d = order.Distance(raw.ReadPrecharged(id, stats),
+                                    sink->Bound());
+    ++stats->distance_computations;
+    ++stats->raw_series_examined;
+    sink->Offer(id, d);
+  }
+}
 
 }  // namespace hydra::io
 

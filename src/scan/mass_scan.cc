@@ -44,7 +44,6 @@ core::SearchStats MassScan::ScanAll(core::SeriesView query,
   transform::Fft(&query_freq, /*inverse=*/false);
 
   core::SearchStats stats;
-  io::ChargeScanStart(&stats);
   std::vector<std::complex<double>> buf(fft_size);
   for (size_t i = 0; i < data_->size(); ++i) {
     if (plan.RawCapReached(&stats)) break;
@@ -62,7 +61,7 @@ core::SearchStats MassScan::ScanAll(core::SeriesView query,
   }
   // Only the series actually scanned are charged (a budgeted scan is a
   // prefix scan).
-  io::ChargeSequentialRead(static_cast<size_t>(stats.raw_series_examined),
+  io::ChargeContiguousRead(static_cast<size_t>(stats.raw_series_examined),
                            n * sizeof(core::Value), &stats);
   stats.cpu_seconds = timer.Seconds();
   return stats;

@@ -20,7 +20,6 @@ core::QueryResult UcrScan::DoSearchKnn(core::SeriesView query,
   core::QueryResult result;
   core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  io::ChargeScanStart(&result.stats);
   // Only the series actually scanned are charged: the max_raw budget
   // truncates the sequential pass (a budgeted scan is a prefix scan).
   for (size_t i = 0; i < data_->size(); ++i) {
@@ -30,7 +29,7 @@ core::QueryResult UcrScan::DoSearchKnn(core::SeriesView query,
     ++result.stats.raw_series_examined;
     heap.Offer(static_cast<core::SeriesId>(i), d);
   }
-  io::ChargeSequentialRead(
+  io::ChargeContiguousRead(
       static_cast<size_t>(result.stats.raw_series_examined),
       data_->length() * sizeof(core::Value), &result.stats);
   heap.ExtractSortedTo(&result.neighbors);
@@ -48,8 +47,7 @@ core::QueryResult UcrScan::DoSearchRange(core::SeriesView query,
   core::QueryResult result;
   core::RangeCollector collector(radius * radius);
   const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  io::ChargeScanStart(&result.stats);
-  io::ChargeSequentialRead(data_->size(), data_->length() * sizeof(core::Value),
+  io::ChargeContiguousRead(data_->size(), data_->length() * sizeof(core::Value),
                            &result.stats);
   for (size_t i = 0; i < data_->size(); ++i) {
     const double d = order.Distance((*data_)[i], collector.Bound());

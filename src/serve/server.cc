@@ -151,7 +151,7 @@ void Server::Shutdown() {
   //    connection sockets are untouched so far.
   {
     std::unique_lock<std::mutex> lock(inflight_mutex_);
-    inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+    inflight_cv_.wait(lock, [this] { return running_ == 0; });
   }
   // 3. Wake every reader blocked in recv, then join them. The Connection
   //    destructor closes each fd once its last holder lets go.
@@ -309,6 +309,7 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
       return;
     }
     ++inflight_;
+    ++running_;
   }
   const double admitted_at = clock_.Seconds();
   const double decode_seconds = decode_timer.Seconds();
@@ -316,7 +317,7 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
                  decode_seconds] {
     ExecuteQuery(conn, request, admitted_at, decode_seconds);
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    --inflight_;
+    --running_;
     inflight_cv_.notify_all();
   });
 }
@@ -360,6 +361,12 @@ void Server::ExecuteQuery(const std::shared_ptr<Connection>& conn,
   const double execute = phase_timer.Seconds();
   phase_timer.Reset();
   response.cached = hit;
+  // Free the admission slot before the answer goes out: a client that has
+  // read its answer must find the slot free for its next query.
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    --inflight_;
+  }
   SendFrame(conn,
             Frame{FrameType::kAnswer, EncodeAnswerResponse(response)});
   const double encode_write = phase_timer.Seconds();

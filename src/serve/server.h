@@ -157,7 +157,8 @@ class Server {
 
   std::mutex inflight_mutex_;
   std::condition_variable inflight_cv_;
-  size_t inflight_ = 0;
+  size_t inflight_ = 0;  // admitted, answer not yet sent (admission bound)
+  size_t running_ = 0;   // admitted, pool task not yet done (drain)
   bool stopping_ = false;
 
   /// Wall clock since Start, for admission-to-answer latency stamps.

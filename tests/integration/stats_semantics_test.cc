@@ -2,6 +2,7 @@
 // vs sequential accesses, footprint, TLB) must behave per their Section 4.2
 // definitions for every method.
 #include <cmath>
+#include <initializer_list>
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,40 @@ TEST_F(StatsFixture, AdsPlusHasMostRandomAccesses) {
   for (const auto& q : run_ads.queries) ads_seeks += q.random_seeks;
   for (const auto& q : run_ds.queries) ds_seeks += q.random_seeks;
   EXPECT_GT(ads_seeks, ds_seeks);
+}
+
+TEST_F(StatsFixture, ContiguousLeafMethodsChargeWholeLeaves) {
+  // DSTree, iSAX2+ and SFA read leaves through io::VerifyLeaf: one random
+  // access per verified leaf plus a sequential read of each of its series
+  // (Section 4.2). Unbudgeted, every charged series is examined; a budget
+  // may stop mid-leaf, but the whole leaf was already charged.
+  const int64_t series_bytes =
+      static_cast<int64_t>(data_.length() * sizeof(core::Value));
+  for (const std::string name : {"DSTree", "iSAX2+", "SFA"}) {
+    auto method = bench::CreateMethod(name, 64);
+    method->Build(data_);
+    for (size_t q = 0; q < workload_.queries.size(); ++q) {
+      const core::SeriesView query = workload_.queries[q];
+      const core::QueryResult knn =
+          method->Execute(query, core::QuerySpec::Knn(5));
+      const double radius = std::sqrt(knn.neighbors.back().dist_sq);
+      for (const core::QuerySpec& spec :
+           {core::QuerySpec::Knn(5), core::QuerySpec::Range(radius),
+            core::QuerySpec::NgApprox(5)}) {
+        const core::SearchStats st = method->Execute(query, spec).stats;
+        EXPECT_EQ(st.sequential_reads, st.raw_series_examined) << name;
+        EXPECT_EQ(st.bytes_read, st.raw_series_examined * series_bytes)
+            << name;
+        EXPECT_GT(st.random_seeks, 0) << name;
+        EXPECT_LE(st.random_seeks, st.nodes_visited) << name;
+      }
+      core::QuerySpec budgeted = core::QuerySpec::Knn(5);
+      budgeted.max_raw_series = 50;
+      const core::SearchStats st = method->Execute(query, budgeted).stats;
+      EXPECT_TRUE(st.budget_exhausted) << name;
+      EXPECT_GE(st.sequential_reads, st.raw_series_examined) << name;
+    }
+  }
 }
 
 TEST_F(StatsFixture, SequentialScanDoesMostSequentialReads) {

@@ -52,19 +52,9 @@ TEST(CountedStorage, ReadReturnsCorrectSeries) {
   EXPECT_FLOAT_EQ(s[0], 3.0f);
 }
 
-TEST(CountedStorage, ResetCursorForcesSeek) {
-  const auto data = MakeData(4, 8);
-  CountedStorage storage(&data);
-  core::SearchStats stats;
-  storage.Read(0, &stats);
-  storage.ResetCursor();
-  storage.Read(1, &stats);  // would be sequential without the reset
-  EXPECT_EQ(stats.random_seeks, 2);
-}
-
 TEST(ChargeHelpers, LeafReadSemantics) {
   core::SearchStats stats;
-  ChargeLeafRead(100, 64, &stats);
+  ChargeContiguousRead(100, 64, &stats);
   EXPECT_EQ(stats.random_seeks, 1);
   EXPECT_EQ(stats.sequential_reads, 100);
   EXPECT_EQ(stats.bytes_read, 6400);

@@ -76,6 +76,15 @@ diff "$TMP/range_ram.txt" "$TMP/range_mmap.txt" \
   || { echo "FAIL: mmap range answers differ from ram"; exit 1; }
 echo "OK pool sweep, shards, range identical"
 
+# A budget that fires in ADS+'s first phase must not leave a reader
+# pinning a frame: with 1MiB pages a 1MiB pool has one frame, and the
+# other shard waits for it.
+"$HYDRA" gen sald 3000 256 11 "$TMP/m.bin" > /dev/null
+timeout 60 "$HYDRA" query "$TMP/m.bin" ADS+ 5 3 --shards 2 --storage mmap \
+  --pool-mb 1 --max-raw 3 > /dev/null \
+  || { echo "FAIL: budgeted sharded ADS+ on a one-frame pool hung"; exit 1; }
+echo "OK budgeted sharded ADS+ releases its frame"
+
 # Flag validation: clean exit-1 refusals, never a crash or silent ignore.
 if "$HYDRA" query "$TMP/data.bin" DSTree 5 2 --pool-mb 8 2> "$TMP/err.txt"
 then
