@@ -14,16 +14,25 @@
 // reads stay plain pointer dereferences and the measured counters stay
 // zero. Either way the bytes compared are identical, so answers are
 // bit-identical across backends.
+//
+// A source may also serve *leaf extents* (MakeLeafExtent): a copy of the
+// series in an index's depth-first leaf order, so that a leaf verified by
+// io::VerifyLeaf is one contiguous run of positions instead of scattered
+// ids. The storage layer writes one when its pool cannot hold the file.
 #ifndef HYDRA_CORE_RAW_SOURCE_H_
 #define HYDRA_CORE_RAW_SOURCE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 
 #include "core/search_stats.h"
 #include "core/types.h"
 
 namespace hydra::core {
+
+class Dataset;
 
 /// Abstract source of pinned raw-series reads. Implementations hand out
 /// views into buffer-managed memory; the Pin guard keeps the underlying
@@ -67,6 +76,26 @@ class RawSeriesSource {
   /// distance immediately, so this costs nothing).
   virtual SeriesView ReadPinned(size_t index, Pin* pin,
                                 SearchStats* stats) = 0;
+
+  /// True when MakeLeafExtent would write an extent: the source cannot
+  /// hold all its series at once. Lets a caller skip gathering the leaf
+  /// order when no extent would be made. The default (no extents) is
+  /// false.
+  virtual bool WantsLeafExtent() const { return false; }
+
+  /// Writes `data`'s series `ids` (ids local to `data`, a dataset this
+  /// source serves), in that order, into a new source whose position j
+  /// reads series ids[j]. `ids` is a run of leaves: leaf l starts at
+  /// position leaf_starts[l] (ascending, the first 0), so a source may
+  /// load a whole leaf at once. Returns nullptr when an extent would gain
+  /// nothing or cannot be made; the caller then reads by id, with the same
+  /// answers. The extent must not outlive this source. Safe to call
+  /// concurrently. The default (no extents) always returns nullptr.
+  virtual std::unique_ptr<RawSeriesSource> MakeLeafExtent(
+      const Dataset& /*data*/, std::span<const SeriesId> /*ids*/,
+      std::span<const size_t> /*leaf_starts*/) {
+    return nullptr;
+  }
 
  protected:
   /// Releases the hold `token` identifies (called by Pin::Release).

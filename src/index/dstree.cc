@@ -33,6 +33,7 @@ struct DsTree::Node {
   std::unique_ptr<Node> left;   // stat <= split_value
   std::unique_ptr<Node> right;  // stat >  split_value
   std::vector<core::SeriesId> ids;  // leaf only
+  size_t first = 0;  // leaf only: position in the leaf extent, if any
 };
 
 DsTree::DsTree(DsTreeOptions options) : options_(options) {}
@@ -107,27 +108,33 @@ core::BuildStats DsTree::DoBuild(const core::Dataset& data) {
     Insert(static_cast<core::SeriesId>(i), p);
   }
 
+  extent_ = io::LayOutLeaves(data, [this] { return Leaves(); });
+
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
   stats.bytes_read = static_cast<int64_t>(data.bytes());
   stats.random_reads = 1;
   // Leaf files hold the clustered raw series.
   stats.bytes_written = static_cast<int64_t>(data.bytes());
-  int64_t leaves = 0;
-  std::vector<const Node*> stack = {root_.get()};
+  stats.random_writes = static_cast<int64_t>(Leaves().size());
+  leaf_count_ = stats.random_writes;
+  return stats;
+}
+
+std::vector<DsTree::Node*> DsTree::Leaves() {
+  std::vector<Node*> leaves;
+  std::vector<Node*> stack = {root_.get()};
   while (!stack.empty()) {
-    const Node* n = stack.back();
+    Node* n = stack.back();
     stack.pop_back();
     if (n->is_leaf) {
-      ++leaves;
+      leaves.push_back(n);
     } else {
-      stack.push_back(n->left.get());
       stack.push_back(n->right.get());
+      stack.push_back(n->left.get());
     }
   }
-  stats.random_writes = leaves;
-  leaf_count_ = leaves;
-  return stats;
+  return leaves;
 }
 
 void DsTree::SaveNode(const Node& node, io::IndexWriter* w) {
@@ -216,6 +223,9 @@ util::Status DsTree::DoOpen(io::IndexReader* reader,
   if (!reader->ok()) return reader->status();
   data_ = &data;
   root_ = LoadNode(reader, data.length(), data.size());
+  if (reader->ok()) {
+    extent_ = io::LayOutLeaves(data, [this] { return Leaves(); });
+  }
   return reader->status();
 }
 
@@ -389,7 +399,8 @@ core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
   }
   ++result.stats.nodes_visited;
   const Node* home = node;
-  io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats, plan.max_raw);
+  io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats,
+                 plan.max_raw);
 
   // Best-first traversal with the EAPCA node lower bound. Pruning against
   // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
@@ -422,8 +433,8 @@ core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
               stop[w] = 1;
               return;
             }
-            io::VerifyLeaf(data_, item.node->ids, order, &workers.heap(w),
-                           &stats, plan.max_raw);
+            io::VerifyLeaf(data_, extent_.get(), *item.node, order,
+                           &workers.heap(w), &stats, plan.max_raw);
             ++leaves[w];
           }
           return;
@@ -488,8 +499,8 @@ core::QueryResult DsTree::DoSearchRange(core::SeriesView query,
         core::SearchStats& stats = workers.stats(w);
         ++stats.nodes_visited;
         if (item.node->is_leaf) {
-          io::VerifyLeaf(data_, item.node->ids, order, &workers.collector(w),
-                         &stats);
+          io::VerifyLeaf(data_, extent_.get(), *item.node, order,
+                         &workers.collector(w), &stats);
           return;
         }
         for (const Node* child :
@@ -521,7 +532,7 @@ core::QueryResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
     node = (v <= node->split_value ? node->left : node->right).get();
   }
   ++result.stats.nodes_visited;
-  io::VerifyLeaf(data_, node->ids, order, &heap, &result.stats);
+  io::VerifyLeaf(data_, extent_.get(), *node, order, &heap, &result.stats);
   heap.ExtractSortedTo(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();
   return result;

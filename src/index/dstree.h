@@ -72,10 +72,15 @@ class DsTree : public core::SearchMethod {
 
   void Insert(core::SeriesId id, const Prefix& p);
   void SplitLeaf(Node* leaf);
+  /// Leaves in depth-first order (left before right).
+  std::vector<Node*> Leaves();
 
   DsTreeOptions options_;
   const core::Dataset* data_ = nullptr;
   std::unique_ptr<Node> root_;
+  /// Leaf-ordered copy of the series (io::LayOutLeaves); null for by-id
+  /// reads.
+  std::unique_ptr<core::RawSeriesSource> extent_;
   int64_t leaf_count_ = 0;  // at Build time; the delta leaf-visit rule
 };
 

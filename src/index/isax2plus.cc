@@ -33,6 +33,7 @@ core::BuildStats Isax2Plus::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree_->Insert(static_cast<core::SeriesId>(i));
   }
+  extent_ = io::LayOutLeaves(data, [this] { return tree_->Leaves(); });
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -70,6 +71,7 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
       data, &full_words_);
   if (!reader->ok()) return reader->status();
   data_ = &data;
+  extent_ = io::LayOutLeaves(data, [this] { return tree_->Leaves(); });
   return reader->status();
 }
 
@@ -94,7 +96,7 @@ core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
   IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats,
+    io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats,
                    plan.max_raw);
   }
 
@@ -133,7 +135,7 @@ core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
           stop[w] = 1;
           return;
         }
-        io::VerifyLeaf(data_, leaf->ids, order, &workers.heap(w),
+        io::VerifyLeaf(data_, extent_.get(), *leaf, order, &workers.heap(w),
                        &workers.stats(w), plan.max_raw);
         ++leaves[w];
       },
@@ -159,8 +161,8 @@ core::QueryResult Isax2Plus::DoSearchRange(core::SeriesView query,
       paa, pps, workers.workers(),
       [&](size_t w) { return workers.collector(w).Bound(); },
       [&](IsaxTree::Node* leaf, size_t w) {
-        io::VerifyLeaf(data_, leaf->ids, order, &workers.collector(w),
-                       &workers.stats(w));
+        io::VerifyLeaf(data_, extent_.get(), *leaf, order,
+                       &workers.collector(w), &workers.stats(w));
       },
       [&](size_t w) { return &workers.stats(w); });
 
@@ -186,7 +188,7 @@ core::QueryResult Isax2Plus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats);
+    io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats);
   }
   heap.ExtractSortedTo(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();

@@ -52,6 +52,9 @@ class Isax2Plus : public core::SearchMethod {
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;  // segments symbols per series
   std::unique_ptr<IsaxTree> tree_;
+  /// Leaf-ordered copy of the series (io::LayOutLeaves); null for by-id
+  /// reads.
+  std::unique_ptr<core::RawSeriesSource> extent_;
   int64_t leaf_count_ = 0;  // at Build time; the delta leaf-visit rule
 };
 

@@ -255,6 +255,15 @@ void IsaxTree::ForEachNode(const std::function<void(const Node&)>& fn) const {
   }
 }
 
+std::vector<IsaxTree::Node*> IsaxTree::Leaves() {
+  std::vector<Node*> leaves;
+  ForEachNode([&](const Node& node) {
+    // The walk is const; the nodes are this (non-const) tree's own.
+    if (node.is_leaf) leaves.push_back(const_cast<Node*>(&node));
+  });
+  return leaves;
+}
+
 void IsaxTree::SaveTo(io::IndexWriter* writer) const {
   writer->WriteU64(first_level_.size());
   for (const auto& [key, node] : first_level_) {

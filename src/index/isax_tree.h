@@ -43,6 +43,7 @@ class IsaxTree {
     std::unique_ptr<Node> child0;      // next bit 0
     std::unique_ptr<Node> child1;      // next bit 1
     std::vector<core::SeriesId> ids;   // leaf only
+    size_t first = 0;  // leaf only: position in iSAX2+'s leaf extent
 
     size_t size() const { return ids.size(); }
   };
@@ -91,6 +92,8 @@ class IsaxTree {
 
   /// Walks all nodes (pre-order within each first-level subtree).
   void ForEachNode(const std::function<void(const Node&)>& fn) const;
+  /// The leaves in ForEachNode order: each subtree's leaves are adjacent.
+  std::vector<Node*> Leaves();
 
   /// Number of nodes / leaf nodes and resident bytes of the structure.
   core::Footprint StructureFootprint() const;

@@ -23,6 +23,7 @@ struct SfaTrie::Node {
   bool is_leaf = true;
   std::vector<std::unique_ptr<Node>> children;  // alphabet slots (internal)
   std::vector<core::SeriesId> ids;              // leaf only
+  size_t first = 0;  // leaf only: position in the leaf extent, if any
   // MBR of member DFT vectors (tight lower bound, "DFT MBRs").
   std::vector<double> mbr_min;
   std::vector<double> mbr_max;
@@ -74,6 +75,7 @@ core::BuildStats SfaTrie::DoBuild(const core::Dataset& data) {
   for (size_t i = 0; i < data.size(); ++i) {
     Insert(static_cast<core::SeriesId>(i), root_.get());
   }
+  extent_ = io::LayOutLeaves(data, [this] { return Leaves(); });
 
   core::BuildStats stats;
   stats.cpu_seconds = timer.Seconds();
@@ -83,6 +85,23 @@ core::BuildStats SfaTrie::DoBuild(const core::Dataset& data) {
   stats.random_writes = footprint().leaf_nodes;
   leaf_count_ = stats.random_writes;
   return stats;
+}
+
+std::vector<SfaTrie::Node*> SfaTrie::Leaves() {
+  std::vector<Node*> leaves;
+  std::vector<Node*> stack = {root_.get()};
+  while (!stack.empty()) {
+    Node* n = stack.back();
+    stack.pop_back();
+    if (n->is_leaf) {
+      leaves.push_back(n);
+      continue;
+    }
+    for (auto it = n->children.rbegin(); it != n->children.rend(); ++it) {
+      if (*it != nullptr) stack.push_back(it->get());
+    }
+  }
+  return leaves;
 }
 
 void SfaTrie::SaveNode(const Node& node, io::IndexWriter* w) {
@@ -213,6 +232,9 @@ util::Status SfaTrie::DoOpen(io::IndexReader* reader,
   if (!reader->ok()) return reader->status();
   data_ = &data;
   root_ = LoadNode(reader, data.size());
+  if (reader->ok()) {
+    extent_ = io::LayOutLeaves(data, [this] { return Leaves(); });
+  }
   return reader->status();
 }
 
@@ -310,7 +332,7 @@ core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
   std::vector<uint8_t> stop(workers.workers(), 0);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, home->ids, order, &heap, &result.stats,
+    io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats,
                    plan.max_raw);
     leaves[0] = 1;
   }
@@ -342,8 +364,8 @@ core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
               stop[w] = 1;
               return;
             }
-            io::VerifyLeaf(data_, item.node->ids, order, &workers.heap(w),
-                           &stats, plan.max_raw);
+            io::VerifyLeaf(data_, extent_.get(), *item.node, order,
+                           &workers.heap(w), &stats, plan.max_raw);
             ++leaves[w];
           }
           return;
@@ -402,8 +424,8 @@ core::QueryResult SfaTrie::DoSearchRange(core::SeriesView query,
         core::SearchStats& stats = workers.stats(w);
         ++stats.nodes_visited;
         if (item.node->is_leaf) {
-          io::VerifyLeaf(data_, item.node->ids, order, &workers.collector(w),
-                         &stats);
+          io::VerifyLeaf(data_, extent_.get(), *item.node, order,
+                         &workers.collector(w), &stats);
           return;
         }
         for (const auto& slot : item.node->children) {
@@ -448,7 +470,7 @@ core::QueryResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
   }
   if (node->is_leaf) {
     ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, node->ids, order, &heap, &result.stats);
+    io::VerifyLeaf(data_, extent_.get(), *node, order, &heap, &result.stats);
   }
   heap.ExtractSortedTo(&result.neighbors);
   result.stats.cpu_seconds = timer.Seconds();

@@ -61,6 +61,8 @@ class SfaTrie : public core::SearchMethod {
   void Insert(core::SeriesId id, Node* node);
   void SplitLeaf(Node* leaf);
   double NodeLowerBound(std::span<const double> q_dft, const Node& node) const;
+  /// Leaves in depth-first order (children by symbol).
+  std::vector<Node*> Leaves();
 
   SfaTrieOptions options_;
   const core::Dataset* data_ = nullptr;
@@ -68,6 +70,9 @@ class SfaTrie : public core::SearchMethod {
   std::vector<double> dfts_;     // flat word_length doubles per series
   std::vector<uint8_t> words_;   // flat word_length symbols per series
   std::unique_ptr<Node> root_;
+  /// Leaf-ordered copy of the series (io::LayOutLeaves); null for by-id
+  /// reads.
+  std::unique_ptr<core::RawSeriesSource> extent_;
   int64_t leaf_count_ = 0;  // at Build time; the delta leaf-visit rule
 };
 

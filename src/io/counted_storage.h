@@ -14,7 +14,9 @@
 #define HYDRA_IO_COUNTED_STORAGE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/distance.h"
@@ -87,33 +89,88 @@ class CountedStorage {
 void ChargeContiguousRead(size_t series_count, size_t series_bytes,
                           core::SearchStats* stats);
 
-/// Verifies one index leaf stored contiguously on disk — the read model of
-/// DSTree, iSAX2+ and SFA. The whole leaf is charged up front with
-/// ChargeContiguousRead (a budget cut mid-leaf still paid for the leaf),
-/// then each series is fetched through a leaf-scoped reader, its
-/// early-abandoned distance computed against the sink's bound, and offered
-/// to `sink` (a core::KnnHeap or core::RangeCollector). Stops and sets
-/// `budget_exhausted` once `raw_series_examined` reaches `max_raw`.
-template <typename Sink>
-void VerifyLeaf(const core::Dataset* data, std::span<const core::SeriesId> ids,
-                const core::QueryOrder& order, Sink* sink,
-                core::SearchStats* stats,
-                int64_t max_raw = core::KnnPlan::kUnlimited) {
-  if (ids.empty()) return;
-  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", ids.size());
-  CountedStorage raw(data);
-  ChargeContiguousRead(ids.size(), raw.series_bytes(), stats);
-  for (const core::SeriesId id : ids) {
+namespace internal {
+
+/// The verify loop of VerifyLeaf; `fetch(j)` reads the leaf's j-th series.
+template <typename Sink, typename Fetch>
+void VerifyRun(std::span<const core::SeriesId> ids, const Fetch& fetch,
+               const core::QueryOrder& order, Sink* sink,
+               core::SearchStats* stats, int64_t max_raw) {
+  for (size_t j = 0; j < ids.size(); ++j) {
     if (stats->raw_series_examined >= max_raw) {
       stats->budget_exhausted = true;
       return;
     }
-    const double d = order.Distance(raw.ReadPrecharged(id, stats),
-                                    sink->Bound());
+    const double d = order.Distance(fetch(j), sink->Bound());
     ++stats->distance_computations;
     ++stats->raw_series_examined;
-    sink->Offer(id, d);
+    sink->Offer(ids[j], d);
   }
+}
+
+}  // namespace internal
+
+/// Lays out the leaves of a contiguous-leaf index (DSTree, iSAX2+, SFA)
+/// for VerifyLeaf. Only on a pool-backed `data` whose pool wants a leaf
+/// extent (core::RawSeriesSource::WantsLeafExtent) is `collect_leaves()`
+/// called: it returns the leaves (each with `ids` and a `first` to set)
+/// in depth-first order. Each leaf gets `first`, the position of its first
+/// series in that order, the pool writes the series in that order to a
+/// leaf extent, and the extent is returned for the index to own. nullptr
+/// means by-id reads: the ram backend, a pool that holds the whole file,
+/// or an extent that could not be written. The order is a pure function
+/// of the tree, so Build and Open lay out the same extent; nothing of it
+/// is saved.
+template <typename CollectLeaves>
+std::unique_ptr<core::RawSeriesSource> LayOutLeaves(
+    const core::Dataset& data, const CollectLeaves& collect_leaves) {
+  core::RawSeriesSource* source = data.raw_source();
+  if (source == nullptr || !source->WantsLeafExtent()) return nullptr;
+  const auto leaves = collect_leaves();
+  std::vector<core::SeriesId> order;
+  std::vector<size_t> starts;
+  starts.reserve(leaves.size());
+  for (auto* leaf : leaves) {
+    leaf->first = order.size();
+    starts.push_back(leaf->first);
+    order.insert(order.end(), leaf->ids.begin(), leaf->ids.end());
+  }
+  return source->MakeLeafExtent(data, order, starts);
+}
+
+/// Verifies one index leaf stored contiguously on disk — the read model of
+/// DSTree, iSAX2+ and SFA. The whole leaf is charged up front with
+/// ChargeContiguousRead (a budget cut mid-leaf still paid for the leaf),
+/// then each series is fetched, its early-abandoned distance computed
+/// against the sink's bound, and offered to `sink` (a core::KnnHeap or
+/// core::RangeCollector). With a leaf extent (LayOutLeaves) the leaf is
+/// read as positions leaf.first … leaf.first + n - 1 of the extent;
+/// without one, by id through a leaf-scoped reader. Stops and sets
+/// `budget_exhausted` once `raw_series_examined` reaches `max_raw`.
+template <typename Leaf, typename Sink>
+void VerifyLeaf(const core::Dataset* data, core::RawSeriesSource* extent,
+                const Leaf& leaf, const core::QueryOrder& order, Sink* sink,
+                core::SearchStats* stats,
+                int64_t max_raw = core::KnnPlan::kUnlimited) {
+  const std::span<const core::SeriesId> ids = leaf.ids;
+  if (ids.empty()) return;
+  HYDRA_OBS_SPAN_ARG("leaf_verify", "series", ids.size());
+  ChargeContiguousRead(ids.size(), data->length() * sizeof(core::Value),
+                       stats);
+  if (extent != nullptr) {
+    core::RawSeriesSource::Pin pin;
+    internal::VerifyRun(
+        ids,
+        [&](size_t j) {
+          return extent->ReadPinned(leaf.first + j, &pin, stats);
+        },
+        order, sink, stats, max_raw);
+    return;
+  }
+  CountedStorage raw(data);
+  internal::VerifyRun(
+      ids, [&](size_t j) { return raw.ReadPrecharged(ids[j], stats); },
+      order, sink, stats, max_raw);
 }
 
 }  // namespace hydra::io

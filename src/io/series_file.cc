@@ -1,9 +1,12 @@
 #include "io/series_file.h"
 
 #include <fcntl.h>
+#include <limits.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -179,6 +182,73 @@ util::Result<SeriesFile> SeriesFile::Open(const std::string& path) {
   if (static_cast<uint64_t>(st.st_size) != expected) {
     return SizeMismatch(path, file.count_, file.length_, expected,
                         static_cast<uint64_t>(st.st_size));
+  }
+  return file;
+}
+
+util::Result<SeriesFile> SeriesFile::WriteUnlinked(
+    const std::string& dir, const core::Dataset& data,
+    std::span<const core::SeriesId> ids) {
+  SeriesFile file;
+  file.path_ = dir + "/(unlinked leaf extent)";
+  file.count_ = ids.size();
+  file.length_ = data.length();
+#ifdef O_TMPFILE
+  file.fd_ = ::open(dir.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
+#endif
+  if (file.fd_ < 0) {
+    // No O_TMPFILE here (or not on this file system): a named file that
+    // is unlinked before anything is written to it.
+    std::string name = dir + "/.hydra-extent-XXXXXX";
+    file.fd_ = ::mkostemp(name.data(), O_CLOEXEC);
+    if (file.fd_ >= 0) ::unlink(name.c_str());
+  }
+  if (file.fd_ < 0) {
+    return util::Status::Error("cannot create a leaf extent in " + dir +
+                               " (" + std::strerror(errno) + ")");
+  }
+  const auto fail = [&](const char* what) {
+    return util::Status::Error(std::string("leaf extent ") + what +
+                               " failed in " + dir + " (" +
+                               std::strerror(errno) + ")");
+  };
+  const uint64_t header[3] = {kMagic, file.count_, file.length_};
+  if (::pwrite(file.fd_, header, sizeof(header), 0) !=
+      static_cast<ssize_t>(sizeof(header))) {
+    return fail("header write");
+  }
+  const size_t series_bytes = file.series_bytes();
+  const size_t batch = std::clamp<size_t>((size_t{1} << 20) / series_bytes,
+                                          1, IOV_MAX);
+  std::vector<iovec> iov(std::min(batch, ids.size()));
+  uint64_t offset = kHeaderBytes;
+  for (size_t begin = 0; begin < ids.size(); begin += batch) {
+    const size_t n = std::min(batch, ids.size() - begin);
+    for (size_t j = 0; j < n; ++j) {
+      iov[j].iov_base = const_cast<core::Value*>(data[ids[begin + j]].data());
+      iov[j].iov_len = series_bytes;
+    }
+    // pwritev may stop short; resume from the first unwritten byte.
+    iovec* next = iov.data();
+    size_t left = n;
+    while (left > 0) {
+      const ssize_t wrote = ::pwritev(file.fd_, next, static_cast<int>(left),
+                                      static_cast<off_t>(offset));
+      if (wrote < 0 && errno == EINTR) continue;
+      if (wrote == 0) errno = EIO;
+      if (wrote <= 0) return fail("write");
+      offset += static_cast<uint64_t>(wrote);
+      size_t done = static_cast<size_t>(wrote);
+      while (left > 0 && done >= next->iov_len) {
+        done -= next->iov_len;
+        ++next;
+        --left;
+      }
+      if (done > 0) {
+        next->iov_base = static_cast<char*>(next->iov_base) + done;
+        next->iov_len -= done;
+      }
+    }
   }
   return file;
 }

@@ -8,13 +8,15 @@
 //     on Finish, so an interrupted write is rejected by every reader).
 //   - SeriesFile: an open, validated handle that reads *nothing* up front
 //     — the out-of-core backend mmaps through it and preads pages on
-//     demand (storage::BufferPool).
+//     demand (storage::BufferPool). SeriesFile::WriteUnlinked makes the
+//     storage layer's leaf extents: a reordered copy in an unlinked file.
 #ifndef HYDRA_IO_SERIES_FILE_H_
 #define HYDRA_IO_SERIES_FILE_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "core/dataset.h"
@@ -55,6 +57,17 @@ class SeriesFile {
   SeriesFile& operator=(const SeriesFile&) = delete;
 
   static util::Result<SeriesFile> Open(const std::string& path);
+
+  /// Writes `data`'s series `ids`, in that order, as a series file that
+  /// has no name: an O_TMPFILE in `dir` where the file system supports
+  /// it, else a mkstemp file unlinked at once. Series go out with
+  /// pwritev(2) straight from `data`'s buffer, at most 1 MiB per call. The
+  /// returned handle reads the copy (series j is data[ids[j]]); its
+  /// space is freed when the handle closes. Errors (say `dir` is gone or
+  /// full) come back as a Status.
+  static util::Result<SeriesFile> WriteUnlinked(
+      const std::string& dir, const core::Dataset& data,
+      std::span<const core::SeriesId> ids);
 
   /// Header metadata (validated at Open).
   size_t count() const { return count_; }

@@ -44,10 +44,16 @@ std::string StorageHandle::Describe() const {
   if (file_ == nullptr) return "storage: ram (whole dataset resident)";
   const BufferPool& pool = file_->pool();
   const size_t pool_bytes = pool.frame_count() * pool.frame_bytes();
-  return "storage: mmap pool=" + std::to_string(pool_bytes / (1 << 20)) +
-         "MiB (" + std::to_string(pool.frame_count()) + " frames x " +
-         std::to_string(pool.series_per_page()) + " series/page, " +
-         std::to_string(pool.page_count()) + " pages on disk)";
+  std::string line =
+      "storage: mmap pool=" + std::to_string(pool_bytes / (1 << 20)) +
+      "MiB (" + std::to_string(pool.frame_count()) + " frames x " +
+      std::to_string(pool.series_per_page()) + " series/page, " +
+      std::to_string(pool.page_count()) + " pages on disk)";
+  const std::string extent = pool.LeafExtentStatus();
+  if (!extent.starts_with("not used")) {
+    line += "; leaf extent " + extent;
+  }
+  return line;
 }
 
 }  // namespace hydra::storage

@@ -53,9 +53,15 @@ class StorageHandle {
   PoolCounters counters() const {
     return file_ != nullptr ? file_->pool().counters() : PoolCounters{};
   }
+  /// How the pool serves contiguous leaves (BufferPool::LeafExtentStatus);
+  /// empty for the RAM backend.
+  std::string LeafExtentStatus() const {
+    return file_ != nullptr ? file_->pool().LeafExtentStatus() : "";
+  }
   /// One-line human summary of the backend geometry, e.g.
   /// "storage: mmap pool=16MiB (16 frames x 256 series/page)" or
-  /// "storage: ram (whole dataset resident)".
+  /// "storage: ram (whole dataset resident)". Once an index has made (or
+  /// failed to make) a leaf extent, "; leaf extent <status>" follows.
   std::string Describe() const;
 
  private:

@@ -646,7 +646,9 @@ bool OpenStorage(const char* path, const StorageFlags& flags,
 /// misses against the modeled random-access count (the paper's ledger).
 /// Pages coalesce neighboring series and stay warm across queries, so
 /// measured misses <= modeled accesses; the line makes that relation
-/// visible instead of leaving two unconnected numbers. Prints nothing on
+/// visible instead of leaving two unconnected numbers. A last line gives
+/// the read amplification (pool bytes read / raw bytes examined) and
+/// whether contiguous leaves come from a leaf extent. Prints nothing on
 /// the ram backend, whose output must stay byte-identical.
 void PrintStorageSummary(const storage::StorageHandle& handle,
                          const core::SearchStats& total) {
@@ -672,6 +674,18 @@ void PrintStorageSummary(const storage::StorageHandle& handle,
                     "<= modeled"
                   : "measured exceeds modeled: pool thrashing below the "
                     "working set");
+  const double examined_bytes =
+      static_cast<double>(total.raw_series_examined) *
+      static_cast<double>(handle.dataset().length() * sizeof(core::Value));
+  const std::string amplification =
+      examined_bytes > 0.0
+          ? util::Table::Num(
+                static_cast<double>(total.pool_bytes_read) / examined_bytes,
+                2)
+          : std::string("n/a");
+  std::printf("storage: read amplification %s (pool bytes read / raw bytes "
+              "examined), leaf extent %s\n",
+              amplification.c_str(), handle.LeafExtentStatus().c_str());
 }
 
 /// Self-pipe bridging POSIX signals into the serve loop: the handler only
@@ -804,6 +818,8 @@ int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
              const StorageFlags& storage_flags) {
   if (argc != 4) return Usage();
   if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
+  // Declared before the method: the dataset outlives the index over it.
+  storage::StorageHandle stored;
   auto method = MakeMethod(argv[3], shards, threads);
   if (method == nullptr) return 1;
   if (index_dir != nullptr &&
@@ -811,7 +827,6 @@ int CmdServe(int argc, char** argv, uint64_t threads, uint64_t shards,
               method->name(), "--index")) {
     return 1;
   }
-  storage::StorageHandle stored;
   if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
   const core::Dataset& data = stored.dataset();
   if (!BuildOrOpen(method.get(), data, index_dir)) return 1;
@@ -1001,6 +1016,8 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
   if (argc > 5 && !ParseUint(argv[5], &queries)) {
     return BadNumber("queries", argv[5]);
   }
+  // Declared before the method: the dataset outlives the index over it.
+  storage::StorageHandle stored;
   auto method = MakeMethod(argv[3], shards, threads);
   if (method == nullptr) return 1;
   const core::MethodTraits traits = method->traits();
@@ -1040,7 +1057,6 @@ int CmdQuery(int argc, char** argv, uint64_t threads, uint64_t shards,
               "--index")) {
     return 1;
   }
-  storage::StorageHandle stored;
   if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
   const core::Dataset& data = stored.dataset();
 
@@ -1123,6 +1139,8 @@ int CmdRange(int argc, char** argv, uint64_t threads, uint64_t shards,
   if (argc > 5 && !ParseUint(argv[5], &queries)) {
     return BadNumber("queries", argv[5]);
   }
+  // Declared before the method: the dataset outlives the index over it.
+  storage::StorageHandle stored;
   auto method = MakeMethod(argv[3], shards, threads);
   if (method == nullptr) return 1;
   const core::MethodTraits traits = method->traits();
@@ -1136,7 +1154,6 @@ int CmdRange(int argc, char** argv, uint64_t threads, uint64_t shards,
               "--index")) {
     return 1;
   }
-  storage::StorageHandle stored;
   if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
   const core::Dataset& data = stored.dataset();
 
@@ -1162,6 +1179,8 @@ int CmdBuild(int argc, char** argv, uint64_t threads, uint64_t shards,
              const StorageFlags& storage_flags) {
   if (argc != 5) return Usage();
   if (!IsKnownMethod(argv[3])) return BadMethod(argv[3]);
+  // Declared before the method: the dataset outlives the index over it.
+  storage::StorageHandle stored;
   auto method = MakeMethod(argv[3], shards, threads);
   if (method == nullptr) return 1;
   // Traits-derived refusal before any expensive work: a method without
@@ -1170,7 +1189,6 @@ int CmdBuild(int argc, char** argv, uint64_t threads, uint64_t shards,
               method->name(), "a persisted index")) {
     return 1;
   }
-  storage::StorageHandle stored;
   if (!OpenStorage(argv[2], storage_flags, &stored)) return 1;
   const core::Dataset& data = stored.dataset();
   const core::BuildStats build = method->Build(data);

@@ -76,6 +76,26 @@ diff "$TMP/range_ram.txt" "$TMP/range_mmap.txt" \
   || { echo "FAIL: mmap range answers differ from ram"; exit 1; }
 echo "OK pool sweep, shards, range identical"
 
+# Leaf extents: 25000 x 64 series are about 6.1 MiB, so a 1 MiB pool
+# holds a sixth of the data. DSTree, iSAX2+ and SFA read each leaf as one
+# contiguous run of their leaf extent, so a leaf costs at most one
+# measured miss (never more than the modeled random accesses), and the
+# answers still match ram.
+"$HYDRA" gen synth 25000 64 11 "$TMP/leaves.bin" > /dev/null
+for m in "DSTree" "iSAX2+" "SFA"; do
+  "$HYDRA" query "$TMP/leaves.bin" "$m" 5 3 | answers > "$TMP/ram.txt"
+  "$HYDRA" query "$TMP/leaves.bin" "$m" 5 3 $POOL > "$TMP/leaves_full.txt"
+  answers < "$TMP/leaves_full.txt" > "$TMP/mmap.txt"
+  diff "$TMP/ram.txt" "$TMP/mmap.txt" \
+    || { echo "FAIL($m): leaf-extent answers differ from ram"; exit 1; }
+  grep -q '^storage check: .* (consistent' "$TMP/leaves_full.txt" \
+    || { echo "FAIL($m): measured misses exceed the modeled accesses"; exit 1; }
+  grep -q '^storage: read amplification .*, leaf extent in use' \
+    "$TMP/leaves_full.txt" \
+    || { echo "FAIL($m): no leaf extent in use"; exit 1; }
+done
+echo "OK leaf extents keep measured misses within the model"
+
 # A budget that fires in ADS+'s first phase must not leave a reader
 # pinning a frame: with 1MiB pages a 1MiB pool has one frame, and the
 # other shard waits for it.
