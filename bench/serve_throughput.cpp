@@ -4,12 +4,17 @@
 // paper's — it characterizes the daemon subsystem: how much the framed
 // protocol + admission + scheduler stack costs on top of direct Execute,
 // and how much a warm answer cache buys back. The hit ratio is driven by
-// the request schedule (a pool of distinct queries sized to the target,
-// replayed round-robin), and the achieved rate is read back from the
-// server's own cache counters.
+// the request schedule: each client replays its own pool of distinct
+// queries round-robin, and the pools are disjoint, so every pool query
+// misses exactly once (the cache inserts before the answer is written)
+// and every repeat hits. The achieved rate is read back from the
+// server's own cache counters and must equal the planned one.
 //
 // Usage: serve_throughput [count] [length] [requests] [--json <path>]
 // Writes the machine-readable sweep to BENCH_serve.json by default.
+// Exits 1 when a request fails or an achieved hit ratio departs from its
+// plan.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -45,9 +50,9 @@ int Run(int argc, char** argv) {
          "hit ratio and with concurrency until the cores saturate");
 
   const auto data = gen::MakeDataset("synth", count, length, 41);
-  // The query pool is the largest any target ratio needs; each sweep uses
-  // a prefix of it. Same seed-style discipline as every exhibit: the
-  // schedule is fully deterministic.
+  // The query pool is the largest any target ratio needs (one distinct
+  // query per request); each sweep uses a prefix of it. Same seed-style
+  // discipline as every exhibit: the schedule is fully deterministic.
   const gen::Workload pool = gen::CtrlWorkload(data, requests, 42);
 
   std::shared_ptr<core::SearchMethod> method =
@@ -67,16 +72,25 @@ int Run(int argc, char** argv) {
   json.BeginArray();
 
   util::Table table({"clients", "target_hit", "requests", "wall_s", "qps",
-                     "achieved_hit"});
+                     "planned_hit", "achieved_hit"});
   bool all_ok = true;
   for (const size_t clients : {1, 2, 4, 8}) {
     for (const double target_hit : {0.0, 0.5, 0.9}) {
-      // A pool of P distinct queries replayed round-robin over R requests
-      // misses P times and hits R - P times: P = R * (1 - target).
-      const size_t pool_size = std::clamp<size_t>(
-          static_cast<size_t>(static_cast<double>(requests) *
-                              (1.0 - target_hit)),
-          1, pool.queries.size());
+      // Client c issues n_c requests from its own pool of
+      // P_c = max(1, n_c * (1 - target)) distinct queries, replayed
+      // round-robin: it misses P_c times and hits n_c - P_c times.
+      std::vector<size_t> first(clients + 1, 0);  // pool c: [first[c], first[c+1])
+      std::vector<size_t> issued(clients);
+      for (size_t c = 0; c < clients; ++c) {
+        issued[c] = (c + 1) * requests / clients - c * requests / clients;
+        const size_t own = std::max<size_t>(
+            1, static_cast<size_t>(static_cast<double>(issued[c]) *
+                                   (1.0 - target_hit)));
+        first[c + 1] = first[c] + std::min(own, issued[c]);
+      }
+      const size_t pool_size = first[clients];
+      HYDRA_CHECK(pool_size <= pool.queries.size());
+      const size_t planned_hits = requests - pool_size;
 
       serve::ServerOptions options;
       options.serve_threads = clients;
@@ -97,13 +111,11 @@ int Run(int argc, char** argv) {
             errors[c] = connected.message();
             return;
           }
-          // Client c issues requests [begin, end) of the shared schedule.
-          const size_t begin = c * requests / clients;
-          const size_t end = (c + 1) * requests / clients;
-          for (size_t i = begin; i < end; ++i) {
+          const size_t own = first[c + 1] - first[c];
+          for (size_t i = 0; i < issued[c]; ++i) {
             serve::QueryRequest request;
             request.spec = spec;
-            const core::SeriesView q = pool.queries[i % pool_size];
+            const core::SeriesView q = pool.queries[first[c] + i % own];
             request.query.assign(q.begin(), q.end());
             serve::AnswerResponse answer;
             const util::Status s = client.Query(request, &answer, nullptr);
@@ -131,11 +143,24 @@ int Run(int argc, char** argv) {
           lookups == 0 ? 0.0
                        : static_cast<double>(counters.hits) /
                              static_cast<double>(lookups);
+      const double planned = static_cast<double>(planned_hits) /
+                             static_cast<double>(requests);
+      if (counters.hits != planned_hits || counters.misses != pool_size) {
+        std::fprintf(stderr,
+                     "error: %zu clients at target %.2f: %llu hits / %llu "
+                     "misses, planned %zu / %zu\n",
+                     clients, target_hit,
+                     static_cast<unsigned long long>(counters.hits),
+                     static_cast<unsigned long long>(counters.misses),
+                     planned_hits, pool_size);
+        all_ok = false;
+      }
       const double qps = static_cast<double>(requests) / wall;
       table.AddRow({util::Table::Num(static_cast<double>(clients), 0),
                     util::Table::Num(target_hit, 2),
                     util::Table::Num(static_cast<double>(requests), 0),
                     util::Table::Num(wall, 3), util::Table::Num(qps, 1),
+                    util::Table::Num(planned, 2),
                     util::Table::Num(achieved, 2)});
 
       json.BeginObject();
@@ -155,6 +180,8 @@ int Run(int argc, char** argv) {
       json.Uint(counters.hits);
       json.Key("cache_misses");
       json.Uint(counters.misses);
+      json.Key("planned_hit_ratio");
+      json.Double(planned);
       json.Key("achieved_hit_ratio");
       json.Double(achieved);
       json.EndObject();

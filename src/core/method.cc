@@ -136,6 +136,7 @@ util::Status SearchMethod::DoOpen(io::IndexReader* /*reader*/,
 }
 
 BuildStats SearchMethod::Build(const Dataset& data) {
+  HYDRA_OBS_SPAN("build");
   HYDRA_CHECK_MSG(!built_,
                   "Build on an already built/opened method — construct a "
                   "fresh instance instead");
@@ -146,6 +147,7 @@ BuildStats SearchMethod::Build(const Dataset& data) {
 }
 
 util::Result<int64_t> SearchMethod::Save(const std::string& dir) const {
+  HYDRA_OBS_SPAN("index_save");
   HYDRA_CHECK_MSG(built_, "Save requires a built method (call Build first)");
   const MethodTraits method_traits = traits();
   if (!method_traits.Has(Capability::kPersistence)) {
@@ -164,6 +166,7 @@ util::Result<int64_t> SearchMethod::Save(const std::string& dir) const {
 
 util::Result<BuildStats> SearchMethod::Open(const std::string& dir,
                                             const Dataset& data) {
+  HYDRA_OBS_SPAN("index_open");
   HYDRA_CHECK_MSG(!built_,
                   "Open requires an unbuilt method (never double-open; "
                   "construct a fresh instance instead)");

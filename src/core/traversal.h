@@ -1,9 +1,17 @@
-// Shared concurrent best-first traversal engine: the one candidate-queue
-// loop behind every tree driver's k-NN and range search, with optional
+// Shared best-first traversal engine and the tree search driver.
+//
+// BestFirstTraverse is the candidate-queue loop, with optional
 // intra-query parallelism (KnnPlan::query_threads) in the style of the
 // parallel-indexing literature (MESSI/ParIS+ work queues): N workers drain
-// a lock-sharded priority queue cooperatively, pruning against worker-local
-// answer heaps that publish through one lock-free SharedBound.
+// a lock-sharded priority queue cooperatively, pruning against
+// worker-local answer heaps that publish through one lock-free
+// SharedBound. On top of it, TreeSearchKnn / TreeSearchNg /
+// TreeSearchRange are the one query plan of the tree indexes: DSTree,
+// iSAX2+ and SFA answer k-NN, ng and range through them, R*-tree its
+// k-NN. M-tree calls BestFirstTraverse directly (it prunes on unsquared
+// distances with a per-item centre distance), R*-tree range keeps its
+// depth-first scan (the DFS order fixes its skip-sequential cursor
+// charges), and ADS+ scans id ranges with ParallelScan.
 //
 // Determinism contract: the serial path (workers == 1) reproduces the
 // classic single-queue best-first loop bit for bit — answers AND work
@@ -33,10 +41,12 @@
 #include <vector>
 
 #include "core/knn.h"
+#include "core/method.h"
 #include "core/query_spec.h"
 #include "core/search_stats.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace hydra::core {
 
@@ -303,6 +313,173 @@ class RangeWorkers {
   std::vector<RangeCollector> collectors_;
   std::vector<SearchStats> extra_stats_;
 };
+
+/// The tree search driver. A `Tree` is a per-query view of one index,
+/// constructed as Tree(owner, query) (it computes the query's summaries
+/// once), that supplies what is specific to the index:
+///
+///   using Node = ...;
+///   const Node* Home();    // exact search's first leaf, nullptr for none
+///   const Node* NgLeaf();  // ng's one leaf, nullptr for none (ng only)
+///   const Node* Root();    // optional, see below
+///   bool IsLeaf(const Node&);
+///   int64_t leaf_count();  // leaves the delta rule counts (0: no rule)
+///   void ForEachTop(emit);                 // bounded top frontier
+///   void ForEachChild(const Node&, emit);  // bounded children
+///   void VisitLeaf(const Node&, Sink*, SearchStats*, const KnnPlan&);
+///
+/// `emit(const Node*, double lb)` hands over one node with its squared
+/// lower bound; the driver counts it as one lower-bound computation and
+/// admits it against the query's bound (children an index skips without
+/// bounding, such as empty ones, are simply never emitted). VisitLeaf
+/// verifies a leaf into a KnnHeap or RangeCollector, honoring the plan's
+/// bound_scale and max_raw where its entries are filtered or read.
+///
+/// Seeding: a tree with a Root() starts k-NN at the root with lower
+/// bound 0, unbounded and uncounted; without one (iSAX2+'s first level has
+/// no single root) k-NN bounds ForEachTop. Range search always bounds
+/// ForEachTop.
+template <typename Node>
+struct TreeItem {
+  double lb;
+  const Node* node;
+  bool operator<(const TreeItem& other) const {
+    return lb > other.lb;  // min-heap on the bound
+  }
+};
+
+/// Exact, epsilon- and delta-epsilon-approximate and budgeted k-NN. The
+/// home leaf is verified first on the calling thread into the primary
+/// heap (its bound is published to every worker); a budget already spent
+/// there makes the answer final. The best-first traversal then prunes
+/// against bsf * plan.bound_scale (bsf/(1+epsilon)^2, so every reported
+/// distance is within (1+epsilon) of the truth; exact with the default
+/// plan), skips the home leaf, and stops a worker once LeafCapReached
+/// fires (the delta rule over leaf_count() and the max_leaves budget).
+/// Caps and budgets only ever bind at width 1 (Execute's pure-exact
+/// gate), so the per-worker stop flags never diverge.
+template <typename Tree, typename Owner>
+QueryResult TreeSearchKnn(const Owner& owner, SeriesView query,
+                          const KnnPlan& plan) {
+  using Node = typename Tree::Node;
+  using Item = TreeItem<Node>;
+  const util::WallTimer timer;
+  Tree tree(owner, query);
+  QueryResult result;
+  KnnHeap& heap = ScratchKnnHeap(plan.k);
+  KnnWorkers workers(&heap, &result.stats, plan);
+  std::vector<int64_t> leaves(workers.workers(), 0);
+  const Node* home = tree.Home();
+  if (home != nullptr) {
+    ++result.stats.nodes_visited;
+    tree.VisitLeaf(*home, &heap, &result.stats, plan);
+    leaves[0] = 1;
+  }
+
+  if (!result.stats.budget_exhausted) {
+    auto bound = [&](size_t w) {
+      return workers.heap(w).Bound() * plan.bound_scale;
+    };
+    std::vector<Item> seeds;
+    if constexpr (requires(Tree& t) { t.Root(); }) {
+      seeds.push_back({0.0, tree.Root()});
+    } else {
+      tree.ForEachTop([&](const Node* node, double lb) {
+        ++result.stats.lower_bound_computations;
+        if (lb < bound(0)) seeds.push_back({lb, node});
+      });
+    }
+    std::vector<uint8_t> stop(workers.workers(), 0);
+    BestFirstTraverse<Item>(
+        workers.workers(), seeds,
+        [&](const Item& item, size_t w) {
+          return stop[w] != 0 || workers.stats(w).budget_exhausted ||
+                 item.lb >= bound(w);
+        },
+        [&](const Item& item, size_t w,
+            const std::function<void(Item)>& push) {
+          SearchStats& stats = workers.stats(w);
+          ++stats.nodes_visited;
+          if (tree.IsLeaf(*item.node)) {
+            if (item.node == home) return;
+            if (plan.LeafCapReached(leaves[w], tree.leaf_count(), &stats)) {
+              stop[w] = 1;
+              return;
+            }
+            tree.VisitLeaf(*item.node, &workers.heap(w), &stats, plan);
+            ++leaves[w];
+            return;
+          }
+          tree.ForEachChild(*item.node, [&](const Node* child, double lb) {
+            ++stats.lower_bound_computations;
+            if (lb < bound(w)) push({lb, child});
+          });
+        });
+  }
+
+  workers.Finish(plan.k, &result.neighbors);
+  result.stats.cpu_seconds = timer.Seconds();
+  return result;
+}
+
+/// ng-approximate k-NN (Definition 7): the one leaf of the ng descent.
+template <typename Tree, typename Owner>
+QueryResult TreeSearchNg(const Owner& owner, SeriesView query, size_t k) {
+  const util::WallTimer timer;
+  Tree tree(owner, query);
+  QueryResult result;
+  KnnHeap& heap = ScratchKnnHeap(k);
+  if (const auto* leaf = tree.NgLeaf()) {
+    ++result.stats.nodes_visited;
+    tree.VisitLeaf(*leaf, &heap, &result.stats, KnnPlan{});
+  }
+  heap.ExtractSortedTo(&result.neighbors);
+  result.stats.cpu_seconds = timer.Seconds();
+  return result;
+}
+
+/// Exact r-range search. A node is admitted when its lower bound is at
+/// most r^2 — inclusive, like RangeCollector, so a series at distance
+/// exactly r is never pruned away. Nodes are bounded before they enter
+/// the frontier, so nothing is pruned at pop time and every counter is
+/// traversal-order independent: the parallel sweep charges exactly the
+/// serial counters.
+template <typename Tree, typename Owner>
+QueryResult TreeSearchRange(const Owner& owner, SeriesView query,
+                            const RangePlan& plan) {
+  using Node = typename Tree::Node;
+  using Item = TreeItem<Node>;
+  const util::WallTimer timer;
+  Tree tree(owner, query);
+  QueryResult result;
+  const double radius_sq = plan.radius * plan.radius;
+  RangeWorkers workers(radius_sq, &result.stats, plan.query_threads);
+  std::vector<Item> seeds;
+  tree.ForEachTop([&](const Node* node, double lb) {
+    ++result.stats.lower_bound_computations;
+    if (lb <= radius_sq) seeds.push_back({lb, node});
+  });
+  const KnnPlan unbudgeted;
+  BestFirstTraverse<Item>(
+      workers.workers(), seeds, [](const Item&, size_t) { return false; },
+      [&](const Item& item, size_t w,
+          const std::function<void(Item)>& push) {
+        SearchStats& stats = workers.stats(w);
+        ++stats.nodes_visited;
+        if (tree.IsLeaf(*item.node)) {
+          tree.VisitLeaf(*item.node, &workers.collector(w), &stats,
+                         unbudgeted);
+          return;
+        }
+        tree.ForEachChild(*item.node, [&](const Node* child, double lb) {
+          ++stats.lower_bound_computations;
+          if (lb <= radius_sq) push({lb, child});
+        });
+      });
+  workers.Finish(&result.neighbors);
+  result.stats.cpu_seconds = timer.Seconds();
+  return result;
+}
 
 }  // namespace hydra::core
 

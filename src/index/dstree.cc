@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <queue>
 
 #include "core/distance.h"
 #include "core/traversal.h"
@@ -65,6 +63,14 @@ std::vector<SegmentStats> DsTree::StatsOn(const Prefix& p,
     stats[s] = StatOf(p, seg.begin_of(s), seg.ends[s]);
   }
   return stats;
+}
+
+DsTree::Node* DsTree::ChildFor(const Node& node, const Prefix& p) {
+  const auto& cs = node.child_seg;
+  const SegmentStats st =
+      StatOf(p, cs.begin_of(node.split_segment), cs.ends[node.split_segment]);
+  const double v = node.split_on_mean ? st.mean : st.stddev;
+  return (v <= node.split_value ? node.left : node.right).get();
 }
 
 namespace {
@@ -239,12 +245,7 @@ void DsTree::Insert(core::SeriesId id, const Prefix& p) {
     }
     ++node->count;
     if (node->is_leaf) break;
-    const auto& cs = node->child_seg;
-    const SegmentStats st =
-        StatOf(p, cs.begin_of(node->split_segment),
-               cs.ends[node->split_segment]);
-    const double v = node->split_on_mean ? st.mean : st.stddev;
-    node = (v <= node->split_value ? node->left : node->right).get();
+    node = ChildFor(*node, p);
   }
   node->ids.push_back(id);
   if (node->ids.size() > options_.leaf_capacity) SplitLeaf(node);
@@ -360,11 +361,7 @@ void DsTree::SplitLeaf(Node* leaf) {
   leaf->left = make_child();
   leaf->right = make_child();
   for (size_t i = 0; i < count; ++i) {
-    const SegmentStats st =
-        StatOf(prefixes[i], best.child_seg.begin_of(best.split_segment),
-               best.child_seg.ends[best.split_segment]);
-    const double v = best.split_on_mean ? st.mean : st.stddev;
-    Node* child = (v <= best.split_value ? leaf->left : leaf->right).get();
+    Node* child = ChildFor(*leaf, prefixes[i]);
     const auto child_stats = StatsOn(prefixes[i], child->seg);
     for (size_t t = 0; t < child_stats.size(); ++t) {
       child->ranges[t].Extend(child_stats[t], child->count == 0);
@@ -377,165 +374,67 @@ void DsTree::SplitLeaf(Node* leaf) {
   leaf->is_leaf = false;
 }
 
+// The per-query view of the tree for the core tree search driver: the
+// query's prefix sums, the split-rule descent, and the EAPCA node bound.
+struct DsTree::Search {
+  using Node = DsTree::Node;
+
+  Search(const DsTree& index, core::SeriesView query)
+      : index(index),
+        order(core::ScratchQueryOrder(query)),
+        qp(ComputePrefix(query)) {
+    HYDRA_CHECK(index.root_ != nullptr);
+  }
+
+  const Node* Root() const { return index.root_.get(); }
+  // One root-to-leaf path under the split rules (Definition 7).
+  const Node* Home() const {
+    const Node* node = Root();
+    while (!node->is_leaf) node = ChildFor(*node, qp);
+    return node;
+  }
+  const Node* NgLeaf() const { return Home(); }
+  static bool IsLeaf(const Node& node) { return node.is_leaf; }
+  int64_t leaf_count() const { return index.leaf_count_; }
+
+  double LowerBound(const Node& node) const {
+    return transform::EapcaNodeLbSq(StatsOn(qp, node.seg), node.ranges,
+                                    node.seg);
+  }
+  template <typename Emit>
+  void ForEachTop(Emit&& emit) const {
+    if (Root()->count != 0) emit(Root(), LowerBound(*Root()));
+  }
+  template <typename Emit>
+  void ForEachChild(const Node& node, Emit&& emit) const {
+    for (const Node* child : {node.left.get(), node.right.get()}) {
+      if (child->count != 0) emit(child, LowerBound(*child));
+    }
+  }
+  template <typename Sink>
+  void VisitLeaf(const Node& leaf, Sink* sink, core::SearchStats* stats,
+                 const core::KnnPlan& plan) const {
+    io::VerifyLeaf(index.data_, index.extent_.get(), leaf, order, sink,
+                   stats, plan.max_raw);
+  }
+
+  const DsTree& index;
+  const core::QueryOrder& order;
+  const Prefix qp;
+};
+
 core::QueryResult DsTree::DoSearchKnn(core::SeriesView query,
                                       const core::KnnPlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  core::KnnWorkers workers(&heap, &result.stats, plan);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const Prefix qp = ComputePrefix(query);
-
-  // ng-approximate descent for the initial bsf, always on the calling
-  // thread into the primary heap (its bound is published to every worker).
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    const auto& cs = node->child_seg;
-    const SegmentStats st = StatOf(qp, cs.begin_of(node->split_segment),
-                                   cs.ends[node->split_segment]);
-    const double v = node->split_on_mean ? st.mean : st.stddev;
-    node = (v <= node->split_value ? node->left : node->right).get();
-  }
-  ++result.stats.nodes_visited;
-  const Node* home = node;
-  io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats,
-                 plan.max_raw);
-
-  // Best-first traversal with the EAPCA node lower bound. Pruning against
-  // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
-  // within (1+epsilon) of the truth; with the default plan this is the
-  // exact search, bit for bit. Caps and budgets only ever bind at width 1
-  // (Execute's pure-exact gate).
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const {
-      return lb > other.lb;
-    }
-  };
-  std::vector<int64_t> leaves(workers.workers(), 0);
-  leaves[0] = 1;
-  std::vector<uint8_t> stop(workers.workers(), 0);
-  core::BestFirstTraverse<Item>(
-      workers.workers(), {Item{0.0, root_.get()}},
-      [&](const Item& item, size_t w) {
-        return stop[w] != 0 || workers.stats(w).budget_exhausted ||
-               item.lb >= workers.heap(w).Bound() * plan.bound_scale;
-      },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          if (item.node != home) {
-            if (plan.LeafCapReached(leaves[w], leaf_count_, &stats)) {
-              stop[w] = 1;
-              return;
-            }
-            io::VerifyLeaf(data_, extent_.get(), *item.node, order,
-                           &workers.heap(w), &stats, plan.max_raw);
-            ++leaves[w];
-          }
-          return;
-        }
-        for (const Node* child :
-             {item.node->left.get(), item.node->right.get()}) {
-          if (child->count == 0) continue;
-          const auto q_stats = StatsOn(qp, child->seg);
-          const double lb =
-              transform::EapcaNodeLbSq(q_stats, child->ranges, child->seg);
-          ++stats.lower_bound_computations;
-          if (lb < workers.heap(w).Bound() * plan.bound_scale) {
-            push({lb, child});
-          }
-        }
-      });
-
-  workers.Finish(plan.k, &result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchKnn<Search>(*this, query, plan);
 }
 
 core::QueryResult DsTree::DoSearchRange(core::SeriesView query,
                                         const core::RangePlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::RangeWorkers workers(plan.radius * plan.radius, &result.stats,
-                             plan.query_threads);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const Prefix qp = ComputePrefix(query);
-
-  // Engine traversal with the fixed r^2 bound: nodes are bounded before
-  // they enter the frontier, so nothing is ever pruned at pop time and
-  // every counter is traversal-order independent — the parallel sweep
-  // charges exactly the serial counters.
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const { return lb > other.lb; }
-  };
-  const double radius_sq = plan.radius * plan.radius;
-  auto bounded = [&](const Node* node, core::SearchStats* stats)
-      -> std::optional<Item> {
-    if (node->count == 0) return std::nullopt;
-    const auto q_stats = StatsOn(qp, node->seg);
-    ++stats->lower_bound_computations;
-    const double lb =
-        transform::EapcaNodeLbSq(q_stats, node->ranges, node->seg);
-    if (lb > radius_sq) return std::nullopt;
-    return Item{lb, node};
-  };
-  std::vector<Item> seeds;
-  if (const auto root = bounded(root_.get(), &result.stats)) {
-    seeds.push_back(*root);
-  }
-  core::BestFirstTraverse<Item>(
-      workers.workers(), seeds,
-      [](const Item&, size_t) { return false; },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          io::VerifyLeaf(data_, extent_.get(), *item.node, order,
-                         &workers.collector(w), &stats);
-          return;
-        }
-        for (const Node* child :
-             {item.node->left.get(), item.node->right.get()}) {
-          if (const auto entry = bounded(child, &stats)) push(*entry);
-        }
-      });
-
-  workers.Finish(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchRange<Search>(*this, query, plan);
 }
 
 core::QueryResult DsTree::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(k);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const Prefix qp = ComputePrefix(query);
-
-  // One root-to-leaf path (Definition 7).
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    const auto& cs = node->child_seg;
-    const SegmentStats st = StatOf(qp, cs.begin_of(node->split_segment),
-                                   cs.ends[node->split_segment]);
-    const double v = node->split_on_mean ? st.mean : st.stddev;
-    node = (v <= node->split_value ? node->left : node->right).get();
-  }
-  ++result.stats.nodes_visited;
-  io::VerifyLeaf(data_, extent_.get(), *node, order, &heap, &result.stats);
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchNg<Search>(*this, query, k);
 }
 
 core::Footprint DsTree::footprint() const {

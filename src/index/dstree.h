@@ -52,6 +52,7 @@ class DsTree : public core::SearchMethod {
 
  private:
   struct Node;
+  struct Search;  // the per-query view of core::TreeSearch*
 
   /// Per-series cumulative sums enabling O(1) segment mean/stddev.
   struct Prefix {
@@ -69,6 +70,9 @@ class DsTree : public core::SearchMethod {
                                         uint32_t end);
   static std::vector<transform::SegmentStats> StatsOn(
       const Prefix& p, const transform::Segmentation& seg);
+  /// The child of internal `node` that the series with prefix `p` routes
+  /// to under the node's split rule.
+  static Node* ChildFor(const Node& node, const Prefix& p);
 
   void Insert(core::SeriesId id, const Prefix& p);
   void SplitLeaf(Node* leaf);

@@ -1,7 +1,6 @@
 #include "index/isax2plus.h"
 
 #include <cmath>
-#include <limits>
 
 #include "core/distance.h"
 #include "core/traversal.h"
@@ -75,124 +74,71 @@ util::Status Isax2Plus::DoOpen(io::IndexReader* reader,
   return reader->status();
 }
 
+// The per-query view of the tree for the core tree search driver: the
+// query's PAA, the covering-leaf descent, and the iSAX MINDIST bound.
+struct Isax2Plus::Search {
+  using Node = IsaxTree::Node;
+
+  Search(const Isax2Plus& index, core::SeriesView query)
+      : index(index),
+        order(core::ScratchQueryOrder(query)),
+        paa(transform::Paa(query, index.options_.segments)),
+        pps(query.size() / index.options_.segments) {
+    HYDRA_CHECK(index.tree_ != nullptr);
+  }
+
+  // The query's covering leaf (Definition 7's one path); nullptr on an
+  // empty tree.
+  const Node* Home() const {
+    std::vector<uint8_t> q_word(paa.size());
+    for (size_t s = 0; s < paa.size(); ++s) {
+      q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
+    }
+    return index.tree_->ApproximateLeaf(q_word, paa, pps);
+  }
+  const Node* NgLeaf() const { return Home(); }
+  static bool IsLeaf(const Node& node) { return node.is_leaf; }
+  int64_t leaf_count() const { return index.leaf_count_; }
+
+  double LowerBound(const Node& node) const {
+    return transform::IsaxMinDistSq(paa, node.word, pps);
+  }
+  template <typename Emit>
+  void ForEachTop(Emit&& emit) const {
+    index.tree_->ForEachFirstLevel(
+        [&](const Node* node) { emit(node, LowerBound(*node)); });
+  }
+  template <typename Emit>
+  void ForEachChild(const Node& node, Emit&& emit) const {
+    for (const Node* child : {node.child0.get(), node.child1.get()}) {
+      emit(child, LowerBound(*child));
+    }
+  }
+  template <typename Sink>
+  void VisitLeaf(const Node& leaf, Sink* sink, core::SearchStats* stats,
+                 const core::KnnPlan& plan) const {
+    io::VerifyLeaf(index.data_, index.extent_.get(), leaf, order, sink,
+                   stats, plan.max_raw);
+  }
+
+  const Isax2Plus& index;
+  const core::QueryOrder& order;
+  const std::vector<double> paa;
+  const size_t pps;
+};
+
 core::QueryResult Isax2Plus::DoSearchKnn(core::SeriesView query,
                                          const core::KnnPlan& plan) {
-  HYDRA_CHECK(tree_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  core::KnnWorkers workers(&heap, &result.stats, plan);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const auto paa = transform::Paa(query, options_.segments);
-  const size_t pps = query.size() / options_.segments;
-
-  // ng-approximate phase: descend to the query's covering leaf for a bsf.
-  // Always on the calling thread (worker 0), into the primary heap, so
-  // every worker starts from the descent's published bound.
-  std::vector<uint8_t> q_word(options_.segments);
-  for (size_t s = 0; s < options_.segments; ++s) {
-    q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-  }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
-  if (home != nullptr) {
-    ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats,
-                   plan.max_raw);
-  }
-
-  // A budget exhausted already in the home leaf makes the answer final:
-  // skip the traversal outright rather than paying its first-level
-  // MINDIST fan-out just to have the -inf bound prune everything.
-  if (result.stats.budget_exhausted) {
-    workers.Finish(plan.k, &result.neighbors);
-    result.stats.cpu_seconds = timer.Seconds();
-    return result;
-  }
-
-  // Best-first traversal pruned against bsf/(1+epsilon)^2
-  // (plan.bound_scale; exact with the default plan). Once a cap fires the
-  // bound closure collapses to -inf, which stops that worker's traversal
-  // on its next pop. Caps and budgets only ever bind at width 1 (Execute's
-  // pure-exact gate), so the per-worker stop flags never diverge.
-  std::vector<int64_t> leaves(workers.workers(), 0);
-  leaves[0] = home != nullptr ? 1 : 0;
-  std::vector<uint8_t> stop(workers.workers(), 0);
-  tree_->BestFirstSearch(
-      paa, pps, workers.workers(),
-      [&](size_t w) -> double {
-        if (stop[w] != 0 || workers.stats(w).budget_exhausted) {
-          return -std::numeric_limits<double>::infinity();
-        }
-        return workers.heap(w).Bound() * plan.bound_scale;
-      },
-      [&](IsaxTree::Node* leaf, size_t w) {
-        if (stop[w] != 0 || workers.stats(w).budget_exhausted ||
-            leaf == home) {
-          return;
-        }
-        if (plan.LeafCapReached(leaves[w], leaf_count_,
-                                &workers.stats(w))) {
-          stop[w] = 1;
-          return;
-        }
-        io::VerifyLeaf(data_, extent_.get(), *leaf, order, &workers.heap(w),
-                       &workers.stats(w), plan.max_raw);
-        ++leaves[w];
-      },
-      [&](size_t w) { return &workers.stats(w); });
-
-  workers.Finish(plan.k, &result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchKnn<Search>(*this, query, plan);
 }
 
 core::QueryResult Isax2Plus::DoSearchRange(core::SeriesView query,
                                            const core::RangePlan& plan) {
-  HYDRA_CHECK(tree_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::RangeWorkers workers(plan.radius * plan.radius, &result.stats,
-                             plan.query_threads);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const auto paa = transform::Paa(query, options_.segments);
-  const size_t pps = query.size() / options_.segments;
-
-  tree_->BestFirstSearch(
-      paa, pps, workers.workers(),
-      [&](size_t w) { return workers.collector(w).Bound(); },
-      [&](IsaxTree::Node* leaf, size_t w) {
-        io::VerifyLeaf(data_, extent_.get(), *leaf, order,
-                       &workers.collector(w), &workers.stats(w));
-      },
-      [&](size_t w) { return &workers.stats(w); });
-
-  workers.Finish(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchRange<Search>(*this, query, plan);
 }
 
 core::QueryResult Isax2Plus::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  HYDRA_CHECK(tree_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(k);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const auto paa = transform::Paa(query, options_.segments);
-  const size_t pps = query.size() / options_.segments;
-
-  // One-path traversal, at most one leaf (Definition 7).
-  std::vector<uint8_t> q_word(options_.segments);
-  for (size_t s = 0; s < options_.segments; ++s) {
-    q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
-  }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
-  if (home != nullptr) {
-    ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats);
-  }
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchNg<Search>(*this, query, k);
 }
 
 core::Footprint Isax2Plus::footprint() const {

@@ -48,6 +48,8 @@ class Isax2Plus : public core::SearchMethod {
                                   const core::RangePlan& plan) override;
 
  private:
+  struct Search;  // the per-query view of core::TreeSearch*
+
   Isax2PlusOptions options_;
   const core::Dataset* data_ = nullptr;
   std::vector<uint8_t> full_words_;  // segments symbols per series

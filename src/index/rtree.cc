@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 #include "core/distance.h"
 #include "core/simd/kernels.h"
+#include "core/traversal.h"
 #include "io/counted_storage.h"
 #include "io/index_codec.h"
 #include "obs/trace.h"
@@ -108,8 +108,8 @@ core::BuildStats RStarTree::DoBuild(const core::Dataset& data) {
 
   points_.resize(data.size() * dims_);
   for (size_t i = 0; i < data.size(); ++i) {
-    const auto paa = transform::Paa(data[i], dims_);
-    for (size_t d = 0; d < dims_; ++d) points_[i * dims_ + d] = paa[d] * scale_;
+    const auto p = ScaledPaa(data[i]);
+    std::copy(p.begin(), p.end(), points_.begin() + i * dims_);
   }
   root_ = std::make_unique<Node>();
   height_ = 0;
@@ -427,84 +427,78 @@ void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
   }
 }
 
-core::QueryResult RStarTree::DoSearchKnn(core::SeriesView query,
-                                         const core::KnnPlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  heap.ShareBound(plan.shared_bound);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  // Per-query raw-file cursor: concurrent queries must not share one.
-  io::CountedStorage raw(data_);
-  const auto paa = transform::Paa(query, dims_);
-  std::vector<double> q(dims_);
-  for (size_t d = 0; d < dims_; ++d) q[d] = paa[d] * scale_;
+std::vector<double> RStarTree::ScaledPaa(core::SeriesView x) const {
+  std::vector<double> p = transform::Paa(x, dims_);
+  for (double& v : p) v *= scale_;
+  return p;
+}
 
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const {
-      return lb > other.lb;
+// The per-query view of the tree for the core tree search driver: the
+// query's scaled PAA point, its raw-file cursor, and the MINDIST bound.
+// Without an ng descent the exact search starts at the root.
+struct RStarTree::Search {
+  using Node = RStarTree::Node;
+
+  Search(const RStarTree& index, core::SeriesView query)
+      : index(index),
+        order(core::ScratchQueryOrder(query)),
+        raw(index.data_),
+        q(index.ScaledPaa(query)) {
+    HYDRA_CHECK(index.root_ != nullptr);
+  }
+
+  const Node* Root() const { return index.root_.get(); }
+  static const Node* Home() { return nullptr; }
+  static bool IsLeaf(const Node& node) { return node.is_leaf(); }
+  static int64_t leaf_count() { return 0; }  // no delta rule
+
+  template <typename Emit>
+  void ForEachChild(const Node& node, Emit&& emit) const {
+    for (const Entry& e : node.entries) {
+      emit(e.child.get(), e.rect.MinDistSqTo(q));
     }
-  };
-  int64_t leaves_visited = 0;
-  // MINDIST pruning against bsf/(1+epsilon)^2 (plan.bound_scale) keeps
-  // every reported distance within (1+epsilon) of the truth (exact with
-  // the default plan).
-  std::priority_queue<Item> pq;
-  pq.push({0.0, root_.get()});
-  while (!pq.empty() && !result.stats.budget_exhausted) {
-    const Item item = pq.top();
-    pq.pop();
-    if (item.lb >= heap.Bound() * plan.bound_scale) break;
-    ++result.stats.nodes_visited;
-    if (item.node->is_leaf()) {
-      // No delta rule on the R*-tree (leaf_count 0), so only the explicit
-      // budget can bind here.
-      if (plan.LeafCapReached(leaves_visited, 0, &result.stats)) break;
-      ++leaves_visited;
-      // One random access per leaf; surviving pointers fetch raw series.
-      ++result.stats.random_seeks;
-      HYDRA_OBS_SPAN_ARG("leaf_verify", "series", item.node->entries.size());
-      for (const Entry& e : item.node->entries) {
-        const double lb = e.rect.MinDistSqTo(q);
-        ++result.stats.lower_bound_computations;
-        if (lb >= heap.Bound() * plan.bound_scale) continue;
-        if (plan.RawCapReached(&result.stats)) break;
-        const core::SeriesView s = raw.Read(e.id, &result.stats);
-        const double d = order.Distance(s, heap.Bound());
-        ++result.stats.distance_computations;
-        ++result.stats.raw_series_examined;
-        heap.Offer(e.id, d);
-      }
-      continue;
-    }
-    for (const Entry& e : item.node->entries) {
+  }
+  // One random access per leaf; entries whose MBR survives the bound
+  // fetch their raw series through the query's cursor.
+  void VisitLeaf(const Node& leaf, core::KnnHeap* heap,
+                 core::SearchStats* stats, const core::KnnPlan& plan) {
+    ++stats->random_seeks;
+    HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.entries.size());
+    for (const Entry& e : leaf.entries) {
       const double lb = e.rect.MinDistSqTo(q);
-      ++result.stats.lower_bound_computations;
-      if (lb < heap.Bound() * plan.bound_scale) pq.push({lb, e.child.get()});
+      ++stats->lower_bound_computations;
+      if (lb >= heap->Bound() * plan.bound_scale) continue;
+      if (plan.RawCapReached(stats)) break;
+      const core::SeriesView s = raw.Read(e.id, stats);
+      const double d = order.Distance(s, heap->Bound());
+      ++stats->distance_computations;
+      ++stats->raw_series_examined;
+      heap->Offer(e.id, d);
     }
   }
 
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  const RStarTree& index;
+  const core::QueryOrder& order;
+  // Per-query raw-file cursor: concurrent queries must not share one.
+  io::CountedStorage raw;
+  const std::vector<double> q;
+};
+
+core::QueryResult RStarTree::DoSearchKnn(core::SeriesView query,
+                                         const core::KnnPlan& plan) {
+  return core::TreeSearchKnn<Search>(*this, query, plan);
 }
 
 core::QueryResult RStarTree::DoSearchRange(core::SeriesView query,
                                            const core::RangePlan& plan) {
-  const double radius = plan.radius;
-  HYDRA_CHECK(root_ != nullptr);
   util::WallTimer timer;
+  Search search(*this, query);
+  const std::vector<double>& q = search.q;
   core::QueryResult result;
-  core::RangeCollector collector(radius * radius);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  io::CountedStorage raw(data_);
-  const auto paa = transform::Paa(query, dims_);
-  std::vector<double> q(dims_);
-  for (size_t d = 0; d < dims_; ++d) q[d] = paa[d] * scale_;
+  core::RangeCollector collector(plan.radius * plan.radius);
 
+  // Depth-first, not best-first: the DFS order fixes the skip-sequential
+  // cursor charges of the range ledger.
   std::vector<const Node*> stack = {root_.get()};
   while (!stack.empty()) {
     const Node* node = stack.back();
@@ -516,8 +510,8 @@ core::QueryResult RStarTree::DoSearchRange(core::SeriesView query,
       for (const Entry& e : node->entries) {
         ++result.stats.lower_bound_computations;
         if (e.rect.MinDistSqTo(q) > collector.Bound()) continue;
-        const core::SeriesView s = raw.Read(e.id, &result.stats);
-        const double d = order.Distance(s, collector.Bound());
+        const core::SeriesView s = search.raw.Read(e.id, &result.stats);
+        const double d = search.order.Distance(s, collector.Bound());
         ++result.stats.distance_computations;
         ++result.stats.raw_series_examined;
         collector.Offer(e.id, d);
@@ -565,9 +559,7 @@ core::Footprint RStarTree::footprint() const {
 
 double RStarTree::MeanTlb(core::SeriesView query) const {
   HYDRA_CHECK(root_ != nullptr);
-  const auto paa = transform::Paa(query, dims_);
-  std::vector<double> q(dims_);
-  for (size_t d = 0; d < dims_; ++d) q[d] = paa[d] * scale_;
+  const std::vector<double> q = ScaledPaa(query);
   double sum = 0.0;
   int64_t leaves = 0;
   std::vector<const Node*> stack = {root_.get()};

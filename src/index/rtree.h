@@ -36,8 +36,9 @@ class RStarTree : public core::SearchMethod {
     return core::MethodTraits::AllExcept({core::Capability::kNgApprox,
                                           core::Capability::kDeltaEpsilon})
         .Refuse(core::Capability::kIntraQuery,
-                "R*-tree traversal has not been restructured onto the "
-                "shared engine; use --shards for parallel speedup");
+                "R*-tree reads raw series through one skip-sequential "
+                "cursor per query, which workers cannot share; use "
+                "--shards for parallel speedup");
   }
   core::Footprint footprint() const override;
   double MeanTlb(core::SeriesView query) const override;
@@ -55,6 +56,7 @@ class RStarTree : public core::SearchMethod {
  private:
   struct Node;
   struct Entry;
+  struct Search;  // the per-query view of core::TreeSearchKnn
 
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   std::unique_ptr<Node> LoadNode(io::IndexReader* reader,
@@ -67,6 +69,8 @@ class RStarTree : public core::SearchMethod {
   void HandleOverflow(Node* node, std::vector<Node*>& path,
                       bool allow_reinsert);
   void SplitNode(Node* node, std::vector<Node*>& path);
+  /// The PAA of `x` scaled into the tree's space.
+  std::vector<double> ScaledPaa(core::SeriesView x) const;
 
   RTreeOptions options_;
   const core::Dataset* data_ = nullptr;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <queue>
 
 #include "core/distance.h"
 #include "core/simd/kernels.h"
@@ -306,175 +304,91 @@ double SfaTrie::NodeLowerBound(std::span<const double> q_dft,
       q_dft.data(), node.mbr_min.data(), node.mbr_max.data(), q_dft.size());
 }
 
+// The per-query view of the trie for the core tree search driver: the
+// query's DFT and SFA word, the two word descents, and the MBR bound.
+struct SfaTrie::Search {
+  using Node = SfaTrie::Node;
+
+  Search(const SfaTrie& index, core::SeriesView query)
+      : index(index),
+        order(core::ScratchQueryOrder(query)),
+        q_dft(transform::PackedRealDft(query, index.quantizer_.dims(),
+                                       /*skip_dc=*/true)),
+        q_word(index.quantizer_.Quantize(q_dft)) {
+    HYDRA_CHECK(index.root_ != nullptr);
+  }
+
+  const Node* Root() const { return index.root_.get(); }
+  // The leaf along the query's word, or nullptr when the path dead-ends
+  // in an empty slot.
+  const Node* Home() const { return Descend(/*closest_on_dead_end=*/false); }
+  // ng never dead-ends: an empty slot detours to the child with the
+  // smallest MBR bound (Definition 7's one path).
+  const Node* NgLeaf() const { return Descend(/*closest_on_dead_end=*/true); }
+  static bool IsLeaf(const Node& node) { return node.is_leaf; }
+  int64_t leaf_count() const { return index.leaf_count_; }
+
+  double LowerBound(const Node& node) const {
+    return index.NodeLowerBound(q_dft, node);
+  }
+  template <typename Emit>
+  void ForEachTop(Emit&& emit) const {
+    if (Root()->count != 0) emit(Root(), LowerBound(*Root()));
+  }
+  template <typename Emit>
+  void ForEachChild(const Node& node, Emit&& emit) const {
+    for (const auto& slot : node.children) {
+      if (slot != nullptr && slot->count != 0) {
+        emit(slot.get(), LowerBound(*slot));
+      }
+    }
+  }
+  template <typename Sink>
+  void VisitLeaf(const Node& leaf, Sink* sink, core::SearchStats* stats,
+                 const core::KnnPlan& plan) const {
+    io::VerifyLeaf(index.data_, index.extent_.get(), leaf, order, sink,
+                   stats, plan.max_raw);
+  }
+
+  const Node* Descend(bool closest_on_dead_end) const {
+    const Node* node = Root();
+    while (!node->is_leaf) {
+      const Node* next = node->children[q_word[node->depth]].get();
+      if (next == nullptr && closest_on_dead_end) {
+        double best = std::numeric_limits<double>::infinity();
+        for (const auto& slot : node->children) {
+          if (slot == nullptr || slot->count == 0) continue;
+          const double lb = LowerBound(*slot);
+          if (lb < best) {
+            best = lb;
+            next = slot.get();
+          }
+        }
+      }
+      if (next == nullptr) break;
+      node = next;
+    }
+    return node->is_leaf ? node : nullptr;
+  }
+
+  const SfaTrie& index;
+  const core::QueryOrder& order;
+  const std::vector<double> q_dft;
+  const std::vector<uint8_t> q_word;
+};
+
 core::QueryResult SfaTrie::DoSearchKnn(core::SeriesView query,
                                        const core::KnnPlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(plan.k);
-  core::KnnWorkers workers(&heap, &result.stats, plan);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const size_t dims = quantizer_.dims();
-  const auto q_dft = transform::PackedRealDft(query, dims, /*skip_dc=*/true);
-  const auto q_word = quantizer_.Quantize(q_dft);
-
-  // ng-approximate descent along the query's word, always on the calling
-  // thread (worker 0) into the primary heap, so every worker starts from
-  // the descent's published bound.
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    Node* next = node->children[q_word[node->depth]].get();
-    if (next == nullptr) break;  // empty slot: stop early
-    node = next;
-  }
-  const Node* home = node->is_leaf ? node : nullptr;
-  std::vector<int64_t> leaves(workers.workers(), 0);
-  std::vector<uint8_t> stop(workers.workers(), 0);
-  if (home != nullptr) {
-    ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, extent_.get(), *home, order, &heap, &result.stats,
-                   plan.max_raw);
-    leaves[0] = 1;
-  }
-
-  // Best-first traversal with the MBR lower bound; pruning against
-  // bsf/(1+epsilon)^2 (plan.bound_scale) keeps every reported distance
-  // within (1+epsilon) of the truth (exact with the default plan). Caps
-  // and budgets only ever bind at width 1 (Execute's pure-exact gate).
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const {
-      return lb > other.lb;
-    }
-  };
-  core::BestFirstTraverse<Item>(
-      workers.workers(), {Item{0.0, root_.get()}},
-      [&](const Item& item, size_t w) {
-        return stop[w] != 0 || workers.stats(w).budget_exhausted ||
-               item.lb >= workers.heap(w).Bound() * plan.bound_scale;
-      },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          if (item.node != home) {
-            if (plan.LeafCapReached(leaves[w], leaf_count_, &stats)) {
-              stop[w] = 1;
-              return;
-            }
-            io::VerifyLeaf(data_, extent_.get(), *item.node, order,
-                           &workers.heap(w), &stats, plan.max_raw);
-            ++leaves[w];
-          }
-          return;
-        }
-        for (const auto& slot : item.node->children) {
-          if (slot == nullptr || slot->count == 0) continue;
-          const double lb = NodeLowerBound(q_dft, *slot);
-          ++stats.lower_bound_computations;
-          if (lb < workers.heap(w).Bound() * plan.bound_scale) {
-            push({lb, slot.get()});
-          }
-        }
-      });
-
-  workers.Finish(plan.k, &result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchKnn<Search>(*this, query, plan);
 }
 
 core::QueryResult SfaTrie::DoSearchRange(core::SeriesView query,
                                          const core::RangePlan& plan) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  const double radius_sq = plan.radius * plan.radius;
-  core::RangeWorkers workers(radius_sq, &result.stats, plan.query_threads);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const size_t dims = quantizer_.dims();
-  const auto q_dft = transform::PackedRealDft(query, dims, /*skip_dc=*/true);
-
-  // Engine traversal with the fixed r^2 bound: nodes are bounded before
-  // they enter the frontier, so every counter is traversal-order
-  // independent and the parallel sweep charges exactly the serial totals.
-  struct Item {
-    double lb;
-    const Node* node;
-    bool operator<(const Item& other) const { return lb > other.lb; }
-  };
-  auto bounded = [&](const Node* node, core::SearchStats* stats)
-      -> std::optional<Item> {
-    if (node->count == 0) return std::nullopt;
-    ++stats->lower_bound_computations;
-    const double lb = NodeLowerBound(q_dft, *node);
-    if (lb > radius_sq) return std::nullopt;
-    return Item{lb, node};
-  };
-  std::vector<Item> seeds;
-  if (const auto root = bounded(root_.get(), &result.stats)) {
-    seeds.push_back(*root);
-  }
-  core::BestFirstTraverse<Item>(
-      workers.workers(), seeds,
-      [](const Item&, size_t) { return false; },
-      [&](const Item& item, size_t w,
-          const std::function<void(Item)>& push) {
-        core::SearchStats& stats = workers.stats(w);
-        ++stats.nodes_visited;
-        if (item.node->is_leaf) {
-          io::VerifyLeaf(data_, extent_.get(), *item.node, order,
-                         &workers.collector(w), &stats);
-          return;
-        }
-        for (const auto& slot : item.node->children) {
-          if (slot == nullptr) continue;
-          if (const auto entry = bounded(slot.get(), &stats)) push(*entry);
-        }
-      });
-
-  workers.Finish(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchRange<Search>(*this, query, plan);
 }
 
 core::QueryResult SfaTrie::DoSearchKnnNg(core::SeriesView query, size_t k) {
-  HYDRA_CHECK(root_ != nullptr);
-  util::WallTimer timer;
-  core::QueryResult result;
-  core::KnnHeap& heap = core::ScratchKnnHeap(k);
-  const core::QueryOrder& order = core::ScratchQueryOrder(query);
-  const size_t dims = quantizer_.dims();
-  const auto q_dft = transform::PackedRealDft(query, dims, /*skip_dc=*/true);
-  const auto q_word = quantizer_.Quantize(q_dft);
-
-  // One path along the query's word; if the path dead-ends before a leaf,
-  // take the child with the smallest MBR lower bound.
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    Node* next = node->children[q_word[node->depth]].get();
-    if (next == nullptr) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto& slot : node->children) {
-        if (slot == nullptr || slot->count == 0) continue;
-        const double lb = NodeLowerBound(q_dft, *slot);
-        if (lb < best) {
-          best = lb;
-          next = slot.get();
-        }
-      }
-      if (next == nullptr) break;
-    }
-    node = next;
-  }
-  if (node->is_leaf) {
-    ++result.stats.nodes_visited;
-    io::VerifyLeaf(data_, extent_.get(), *node, order, &heap, &result.stats);
-  }
-  heap.ExtractSortedTo(&result.neighbors);
-  result.stats.cpu_seconds = timer.Seconds();
-  return result;
+  return core::TreeSearchNg<Search>(*this, query, k);
 }
 
 core::Footprint SfaTrie::footprint() const {

@@ -53,6 +53,7 @@ class SfaTrie : public core::SearchMethod {
 
  private:
   struct Node;
+  struct Search;  // the per-query view of core::TreeSearch*
 
   static void SaveNode(const Node& node, io::IndexWriter* writer);
   std::unique_ptr<Node> LoadNode(io::IndexReader* reader,

@@ -3,8 +3,10 @@
 // complete — across radii from empty to all-inclusive.
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +97,35 @@ TEST(RangeQueryEdgeCases, ZeroRadiusFindsExactDuplicates) {
     ASSERT_GE(got.neighbors.size(), 2u) << name;  // original + duplicate
     EXPECT_NEAR(got.neighbors[0].dist_sq, 0.0, 1e-8);
     EXPECT_NEAR(got.neighbors[1].dist_sq, 0.0, 1e-8);
+  }
+}
+
+TEST(RangeQueryEdgeCases, SeriesExactlyAtTheRadiusIsReturned) {
+  // An all-zero series lies at distance exactly 16 from the all -1 query
+  // (dist^2 = 256 = r^2), and so do the summaries' lower bounds (iSAX's
+  // MINDIST is 256 too): an index that admits nodes only when lb < r^2
+  // drops the match that the inclusive range definition keeps.
+  constexpr size_t kLength = 256;
+  const core::Dataset base = gen::MakeDataset("synth", 2000, kLength, 4321);
+  core::Dataset data("boundary", kLength);
+  const std::vector<core::Value> zero(kLength, 0.0f);
+  data.Append(zero);
+  for (size_t i = 0; i < base.size(); ++i) data.Append(base[i]);
+  const std::vector<core::Value> query(kLength, -1.0f);
+
+  std::vector<std::unique_ptr<core::SearchMethod>> methods;
+  for (const std::string& name : bench::AllMethodNames()) {
+    methods.push_back(bench::CreateMethod(name, 64));
+  }
+  methods.push_back(bench::CreateShardedMethod("iSAX2+", 2, 1, 64));
+  for (const auto& method : methods) {
+    SCOPED_TRACE(method->name());
+    method->Build(data);
+    const auto got = method->Execute(query, core::QuerySpec::Range(16.0));
+    EXPECT_EQ(got.neighbors.size(), 1u);
+    if (got.neighbors.empty()) continue;
+    EXPECT_EQ(got.neighbors[0].id, 0u);
+    EXPECT_EQ(got.neighbors[0].dist_sq, 256.0);
   }
 }
 

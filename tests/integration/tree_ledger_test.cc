@@ -80,8 +80,9 @@ core::QuerySpec SpecFor(const std::string& plan, double radius) {
   return spec;
 }
 
-// Recorded before the tree drivers were folded into one search driver; the
-// refactor must reproduce every one of them.
+// Each row is a method's query plan in numbers: a refactor of the search
+// driver must reproduce it exactly, and a deliberate plan change updates
+// it with the reason.
 const Case kCases[] = {
     {"DSTree", "exact",
      {393, 442, 7416, 7416, 7416, 166, 3796992, 0, 8087484938659159241u}},

@@ -2,7 +2,8 @@
 # Observability smoke: a traced sharded + pooled + intra-query-parallel
 # query must export Chrome trace-event JSON that a real parser loads,
 # carrying the full span hierarchy (execute → shard_search → traversal →
-# leaf_verify, plus pool_miss_pread from the starved buffer pool); the
+# leaf_verify, plus pool_miss_pread from the starved buffer pool); a
+# traced build must carry its build and index_save spans; the
 # daemon must surface bucketed latency quantiles, the flight recorder
 # (request ids round-tripped from the client), and `stats --full`; and
 # every bad flag combination must exit 1 with a reason, never a crash.
@@ -62,6 +63,26 @@ answers() { grep '^query' | sed 's/ \[.*\]$//'; }
 diff <(answers < "$TMP/query.txt") <(answers < "$TMP/untraced.txt") \
   || { echo "FAIL: tracing changed the answers"; exit 1; }
 echo "OK traced query: valid JSON, full hierarchy, answers unchanged"
+
+# A traced build records the lifecycle spans: `build` covers the method's
+# own build time (the seconds it prints) and `index_save` the write.
+"$HYDRA" build "$TMP/data.bin" DSTree "$TMP/idx" \
+  --trace "$TMP/build_trace.json" > "$TMP/build.txt" 2> /dev/null
+python3 - "$TMP/build_trace.json" "$TMP/build.txt" << 'EOF' || exit 1
+import json, re, sys
+doc = json.load(open(sys.argv[1]))
+spans = {}
+for e in doc["traceEvents"]:
+    spans.setdefault(e["name"], []).append(e)
+for required in ("build", "index_save"):
+    assert required in spans, f"missing span: {required} (have {sorted(spans)})"
+built_s = float(re.search(r"^built .* in ([0-9.]+)s",
+                          open(sys.argv[2]).read(), re.M).group(1))
+build_s = max(e["dur"] for e in spans["build"]) / 1e6
+# The printed time is rounded to centiseconds.
+assert build_s >= 0.9 * built_s - 0.005, (build_s, built_s)
+print(f"build trace OK: build span {build_s:.3f}s vs built in {built_s:.2f}s")
+EOF
 
 # Serve: trace the daemon itself, drive it with queryd (which stamps
 # request ids), and read the flight recorder back through STATS.
