@@ -319,8 +319,8 @@ class RangeWorkers {
 /// once), that supplies what is specific to the index:
 ///
 ///   using Node = ...;
-///   const Node* Home();    // exact search's first leaf, nullptr for none
-///   const Node* NgLeaf();  // ng's one leaf, nullptr for none (ng only)
+///   const Node* Home(SearchStats*);    // exact search's first leaf
+///   const Node* NgLeaf(SearchStats*);  // ng's one leaf (ng only)
 ///   const Node* Root();    // optional, see below
 ///   bool IsLeaf(const Node&);
 ///   int64_t leaf_count();  // leaves the delta rule counts (0: no rule)
@@ -328,6 +328,8 @@ class RangeWorkers {
 ///   void ForEachChild(const Node&, emit);  // bounded children
 ///   void VisitLeaf(const Node&, Sink*, SearchStats*, const KnnPlan&);
 ///
+/// Home and NgLeaf return nullptr for none and charge any lower bound
+/// their descent computes to the given stats.
 /// `emit(const Node*, double lb)` hands over one node with its squared
 /// lower bound; the driver counts it as one lower-bound computation and
 /// admits it against the query's bound (children an index skips without
@@ -369,7 +371,7 @@ QueryResult TreeSearchKnn(const Owner& owner, SeriesView query,
   KnnHeap& heap = ScratchKnnHeap(plan.k);
   KnnWorkers workers(&heap, &result.stats, plan);
   std::vector<int64_t> leaves(workers.workers(), 0);
-  const Node* home = tree.Home();
+  const Node* home = tree.Home(&result.stats);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
     tree.VisitLeaf(*home, &heap, &result.stats, plan);
@@ -429,7 +431,7 @@ QueryResult TreeSearchNg(const Owner& owner, SeriesView query, size_t k) {
   Tree tree(owner, query);
   QueryResult result;
   KnnHeap& heap = ScratchKnnHeap(k);
-  if (const auto* leaf = tree.NgLeaf()) {
+  if (const auto* leaf = tree.NgLeaf(&result.stats)) {
     ++result.stats.nodes_visited;
     tree.VisitLeaf(*leaf, &heap, &result.stats, KnnPlan{});
   }

@@ -94,12 +94,13 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
   for (size_t s = 0; s < segments; ++s) {
     q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
   }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
+  IsaxTree::Node* home =
+      tree_->ApproximateLeaf(q_word, paa, pps, &result.stats);
   while (home != nullptr && home->size() > options_.adaptive_leaf_capacity) {
     const size_t before = home->size();
     tree_->SplitLeaf(home);
     if (home->is_leaf) break;  // could not split (max resolution)
-    home = tree_->ApproximateLeaf(q_word, paa, pps);
+    home = tree_->ApproximateLeaf(q_word, paa, pps, &result.stats);
     if (home == nullptr || home->size() >= before) break;
   }
   std::vector<bool> evaluated(data_->size(), false);
@@ -174,12 +175,20 @@ core::QueryResult AdsPlus::DoSearchKnn(core::SeriesView query,
       [&](size_t w, size_t begin, size_t end) {
         core::KnnHeap& local = workers.heap(w);
         core::SearchStats& stats = workers.stats(w);
+        auto skipped = [&](size_t i) {
+          return evaluated[i] || lb[i] >= local.Bound() * plan.bound_scale;
+        };
         for (size_t i = begin; i < end && !stats.budget_exhausted; ++i) {
-          if (evaluated[i] || lb[i] >= local.Bound() * plan.bound_scale) {
-            continue;  // skip
-          }
+          if (skipped(i)) continue;
           if (plan.RawCapReached(&stats)) break;
           if (refined[w] >= delta_cap) break;  // delta rule: no budget flag
+          // Prefetch the next candidate below the current bound.
+          for (size_t next = i + 1; next < end; ++next) {
+            if (!skipped(next)) {
+              readers[w].Prefetch(static_cast<core::SeriesId>(next));
+              break;
+            }
+          }
           const core::SeriesView s =
               readers[w].Read(static_cast<core::SeriesId>(i), &stats);
           const double d = order.Distance(s, local.Bound());
@@ -256,7 +265,8 @@ core::QueryResult AdsPlus::DoSearchKnnNg(core::SeriesView query, size_t k) {
   for (size_t s = 0; s < options_.segments; ++s) {
     q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
   }
-  IsaxTree::Node* home = tree_->ApproximateLeaf(q_word, paa, pps);
+  IsaxTree::Node* home =
+      tree_->ApproximateLeaf(q_word, paa, pps, &result.stats);
   if (home != nullptr) {
     ++result.stats.nodes_visited;
     io::CountedStorage raw(data_);

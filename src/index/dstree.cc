@@ -388,12 +388,12 @@ struct DsTree::Search {
 
   const Node* Root() const { return index.root_.get(); }
   // One root-to-leaf path under the split rules (Definition 7).
-  const Node* Home() const {
+  const Node* Home(core::SearchStats* /*stats*/) const {
     const Node* node = Root();
     while (!node->is_leaf) node = ChildFor(*node, qp);
     return node;
   }
-  const Node* NgLeaf() const { return Home(); }
+  const Node* NgLeaf(core::SearchStats* stats) const { return Home(stats); }
   static bool IsLeaf(const Node& node) { return node.is_leaf; }
   int64_t leaf_count() const { return index.leaf_count_; }
 

@@ -89,14 +89,14 @@ struct Isax2Plus::Search {
 
   // The query's covering leaf (Definition 7's one path); nullptr on an
   // empty tree.
-  const Node* Home() const {
+  const Node* Home(core::SearchStats* stats) const {
     std::vector<uint8_t> q_word(paa.size());
     for (size_t s = 0; s < paa.size(); ++s) {
       q_word[s] = transform::SaxSymbol(paa[s], transform::kMaxSaxBits);
     }
-    return index.tree_->ApproximateLeaf(q_word, paa, pps);
+    return index.tree_->ApproximateLeaf(q_word, paa, pps, stats);
   }
-  const Node* NgLeaf() const { return Home(); }
+  const Node* NgLeaf(core::SearchStats* stats) const { return Home(stats); }
   static bool IsLeaf(const Node& node) { return node.is_leaf; }
   int64_t leaf_count() const { return index.leaf_count_; }
 

@@ -167,7 +167,8 @@ void IsaxTree::SplitLeaf(Node* leaf) {
 
 IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const uint8_t> full_word,
                                           std::span<const double> paa_q,
-                                          size_t points_per_segment) {
+                                          size_t points_per_segment,
+                                          core::SearchStats* stats) {
   if (first_level_.empty()) return nullptr;
   Node* node = FirstLevelFor(full_word, /*create=*/false);
   if (node == nullptr) {
@@ -176,6 +177,7 @@ IsaxTree::Node* IsaxTree::ApproximateLeaf(std::span<const uint8_t> full_word,
     for (const auto& [key, candidate] : first_level_) {
       const double d = transform::IsaxMinDistSq(paa_q, candidate->word,
                                                 points_per_segment);
+      ++stats->lower_bound_computations;
       if (d < best) {
         best = d;
         node = candidate.get();

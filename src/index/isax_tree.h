@@ -68,10 +68,12 @@ class IsaxTree {
 
   /// Leaf used by ng-approximate search: the leaf covering `full_word` if
   /// its first-level node exists, otherwise the leaf under the first-level
-  /// node with the smallest MINDIST. Returns nullptr on an empty tree.
+  /// node with the smallest MINDIST. Each MINDIST of that fallback is
+  /// charged to `stats` as a lower-bound computation. Returns nullptr on an
+  /// empty tree.
   Node* ApproximateLeaf(std::span<const uint8_t> full_word,
                         std::span<const double> paa_q,
-                        size_t points_per_segment);
+                        size_t points_per_segment, core::SearchStats* stats);
 
   /// Calls `fn(node)` for every first-level node in key order: the top
   /// frontier of a best-first search.

@@ -347,13 +347,16 @@ core::QueryResult MTree::DoSearchKnn(core::SeriesView query,
           ++leaves[w];
           HYDRA_OBS_SPAN_ARG("leaf_verify", "series", node->entries.size());
           io::CountedStorage raw(data_);
-          for (const auto& [id, dist_to_center] : node->entries) {
+          const auto& entries = node->entries;
+          for (size_t j = 0; j < entries.size(); ++j) {
+            const auto& [id, dist_to_center] = entries[j];
             // Triangle-inequality filter using the precomputed distance.
             if (std::fabs(item.dist_center - dist_to_center) >=
                 std::sqrt(local.Bound()) * shrink) {
               continue;
             }
             if (plan.RawCapReached(&stats)) break;
+            if (j + 1 < entries.size()) raw.Prefetch(entries[j + 1].first);
             const double d = DistToQueryRaw(query, id, &raw, &stats);
             ++stats.raw_series_examined;
             local.Offer(id, d * d);
@@ -418,10 +421,13 @@ core::QueryResult MTree::DoSearchRange(core::SeriesView query,
           HYDRA_OBS_SPAN_ARG("leaf_verify", "series",
                              item.node->entries.size());
           io::CountedStorage raw(data_);
-          for (const auto& [id, dist_to_center] : item.node->entries) {
+          const auto& entries = item.node->entries;
+          for (size_t j = 0; j < entries.size(); ++j) {
+            const auto& [id, dist_to_center] = entries[j];
             if (std::fabs(item.dist_center - dist_to_center) > radius) {
               continue;
             }
+            if (j + 1 < entries.size()) raw.Prefetch(entries[j + 1].first);
             const double d = DistToQueryRaw(query, id, &raw, &stats);
             ++stats.raw_series_examined;
             collector.Offer(id, d * d);

@@ -448,7 +448,7 @@ struct RStarTree::Search {
   }
 
   const Node* Root() const { return index.root_.get(); }
-  static const Node* Home() { return nullptr; }
+  static const Node* Home(core::SearchStats* /*stats*/) { return nullptr; }
   static bool IsLeaf(const Node& node) { return node.is_leaf(); }
   static int64_t leaf_count() { return 0; }  // no delta rule
 
@@ -464,11 +464,14 @@ struct RStarTree::Search {
                  core::SearchStats* stats, const core::KnnPlan& plan) {
     ++stats->random_seeks;
     HYDRA_OBS_SPAN_ARG("leaf_verify", "series", leaf.entries.size());
-    for (const Entry& e : leaf.entries) {
+    const std::vector<Entry>& entries = leaf.entries;
+    for (size_t j = 0; j < entries.size(); ++j) {
+      const Entry& e = entries[j];
       const double lb = e.rect.MinDistSqTo(q);
       ++stats->lower_bound_computations;
       if (lb >= heap->Bound() * plan.bound_scale) continue;
       if (plan.RawCapReached(stats)) break;
+      if (j + 1 < entries.size()) raw.Prefetch(entries[j + 1].id);
       const core::SeriesView s = raw.Read(e.id, stats);
       const double d = order.Distance(s, heap->Bound());
       ++stats->distance_computations;

@@ -321,10 +321,14 @@ struct SfaTrie::Search {
   const Node* Root() const { return index.root_.get(); }
   // The leaf along the query's word, or nullptr when the path dead-ends
   // in an empty slot.
-  const Node* Home() const { return Descend(/*closest_on_dead_end=*/false); }
+  const Node* Home(core::SearchStats* stats) const {
+    return Descend(/*closest_on_dead_end=*/false, stats);
+  }
   // ng never dead-ends: an empty slot detours to the child with the
-  // smallest MBR bound (Definition 7's one path).
-  const Node* NgLeaf() const { return Descend(/*closest_on_dead_end=*/true); }
+  // smallest MBR bound (Definition 7's one path), each bound charged.
+  const Node* NgLeaf(core::SearchStats* stats) const {
+    return Descend(/*closest_on_dead_end=*/true, stats);
+  }
   static bool IsLeaf(const Node& node) { return node.is_leaf; }
   int64_t leaf_count() const { return index.leaf_count_; }
 
@@ -350,7 +354,8 @@ struct SfaTrie::Search {
                    stats, plan.max_raw);
   }
 
-  const Node* Descend(bool closest_on_dead_end) const {
+  const Node* Descend(bool closest_on_dead_end,
+                      core::SearchStats* stats) const {
     const Node* node = Root();
     while (!node->is_leaf) {
       const Node* next = node->children[q_word[node->depth]].get();
@@ -359,6 +364,7 @@ struct SfaTrie::Search {
         for (const auto& slot : node->children) {
           if (slot == nullptr || slot->count == 0) continue;
           const double lb = LowerBound(*slot);
+          ++stats->lower_bound_computations;
           if (lb < best) {
             best = lb;
             next = slot.get();

@@ -197,14 +197,22 @@ core::QueryResult VaFile::DoSearchKnn(core::SeriesView query,
   // sweep. Scope-bound to the function; the tail extract is trivial.
   obs::ObsSpan refine_span("leaf_verify", "series",
                            static_cast<int64_t>(count));
+  auto pruned = [&](size_t i) {
+    return shrunken && heap.size() >= plan.k
+               ? lb[i] >= heap.Bound() * plan.bound_scale
+               : lb[i] >= bound;
+  };
   for (size_t i = 0; i < count; ++i) {
     bound = std::min(bound, heap.Bound());
-    if (shrunken && heap.size() >= plan.k) {
-      if (lb[i] >= heap.Bound() * plan.bound_scale) continue;
-    } else {
-      if (lb[i] >= bound) continue;
-    }
+    if (pruned(i)) continue;
     if (plan.RawCapReached(&result.stats)) break;
+    // Prefetch the next candidate below the current bound.
+    for (size_t next = i + 1; next < count; ++next) {
+      if (!pruned(next)) {
+        raw.Prefetch(static_cast<core::SeriesId>(next));
+        break;
+      }
+    }
     const core::SeriesView s =
         raw.Read(static_cast<core::SeriesId>(i), &result.stats);
     const double d = order.Distance(s, exact_values ? heap.Bound() : bound);

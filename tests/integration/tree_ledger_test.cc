@@ -4,11 +4,15 @@
 // dataset. Each case asserts the work counters summed over the workload,
 // how many queries a budget stopped, and a hash of every answer id, so a
 // change to a traversal's seeding, pruning, leaf accounting or stopping
-// rule shows up here even when the answers survive it.
+// rule shows up here even when the answers survive it. A second case
+// sends the ng descents down their fallback paths and checks that the
+// bounds they compute there are charged.
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numbers>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,6 +190,38 @@ TEST(TreeLedger, CountersAndAnswersMatchThePinnedPlans) {
     }
     EXPECT_EQ(got, c.want) << c.method << " " << c.plan
                            << " ledger: " << Format(got);
+  }
+}
+
+// Queries whose ng descent finds no covering path, so it falls back to
+// bounding the candidates and must charge every bound it computes:
+//   - iSAX2+: a square wave flipping sign every 8 points; no series
+//     shares its first-level word.
+//   - SFA: one low-frequency sinusoid; at some depth its word's slot is
+//     empty, so the descent detours through the closest non-empty slot.
+TEST(TreeLedger, NgFallbackDescentsChargeTheirBounds) {
+  KernelGuard guard;
+  ASSERT_TRUE(core::simd::UseKernels("scalar").ok());
+  const core::Dataset data = gen::MakeDataset("synth", 3000, 128, 8080);
+  const size_t n = data.length();
+  std::vector<core::Value> square(n), sinusoid(n);
+  for (size_t t = 0; t < n; ++t) {
+    const double phase = 2.0 * std::numbers::pi * static_cast<double>(t) / n;
+    square[t] = (t / 8) % 2 == 0 ? 1.0f : -1.0f;
+    sinusoid[t] = static_cast<core::Value>(-2.0 * std::cos(phase) -
+                                           2.5 * std::sin(phase));
+  }
+  const std::pair<const char*, const std::vector<core::Value>*> cases[] = {
+      {"iSAX2+", &square}, {"SFA", &sinusoid}};
+  for (const auto& [name, query] : cases) {
+    const std::unique_ptr<core::SearchMethod> method =
+        bench::CreateMethod(name, 64);
+    method->Build(data);
+    const core::QueryResult r =
+        method->Execute(*query, core::QuerySpec::NgApprox(kK));
+    EXPECT_GT(r.stats.lower_bound_computations, 0) << name;
+    EXPECT_EQ(r.stats.nodes_visited, 1) << name;
+    EXPECT_FALSE(r.neighbors.empty()) << name;
   }
 }
 

@@ -1,10 +1,12 @@
 // Unit battery for the out-of-core buffer pool: geometry derivation,
 // LRU victim order, the pinned-page discipline (including a genuine
-// blocking wait on a one-frame pool), counter accounting, and concurrent
-// readers (the TSan CI lane runs this suite via the `storage` label).
+// blocking wait on a one-frame pool), counter accounting, the pool-side
+// contract of io::CountedStorage::Prefetch, and concurrent readers (the
+// TSan CI lane runs this suite via the `storage` label).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "core/dataset.h"
 #include "core/raw_source.h"
 #include "core/search_stats.h"
+#include "io/counted_storage.h"
 #include "io/series_file.h"
 #include "storage/buffer_pool.h"
 
@@ -196,6 +199,42 @@ TEST_F(PoolTest, RepinningReleasesPreviousHold) {
   pool.ReadPinned(1, &pin, nullptr);
   const core::SeriesView view = pool.ReadPinned(2, &pin, nullptr);
   EXPECT_FLOAT_EQ(view[0], 2.0f);
+}
+
+// Prefetch is a ram-only hint: on a pooled dataset it must take no pin,
+// do no pread and move no counter. With a single frame, a pin held by
+// the hinting reader would block every other reader's next Read.
+TEST_F(PoolTest, PrefetchIsANoOpOnAPooledDataset) {
+  OpenFile(4);
+  BufferPool pool(&file_, TinyPool(1));
+  core::Dataset data("pool", kLength);
+  for (size_t i = 0; i < 4; ++i) {
+    data.Append(std::vector<core::Value>(kLength, static_cast<core::Value>(i)));
+  }
+  data.AttachRawSource(&pool);
+  auto hinting = std::make_unique<io::CountedStorage>(&data);
+  for (core::SeriesId i = 0; i < 4; ++i) hinting->Prefetch(i);
+  const PoolCounters after = pool.counters();
+  EXPECT_EQ(after.hits, 0);
+  EXPECT_EQ(after.misses, 0);
+  EXPECT_EQ(after.evictions, 0);
+  EXPECT_EQ(after.pread_calls, 0);
+  EXPECT_EQ(after.bytes_read, 0);
+
+  std::atomic<bool> done{false};
+  std::thread other([&] {
+    io::CountedStorage reader(&data);
+    core::SearchStats stats;
+    EXPECT_FLOAT_EQ(reader.Read(2, &stats)[0], 2.0f);
+    EXPECT_EQ(stats.pool_misses, 1);
+    done.store(true);
+  });
+  for (int waited = 0; waited < 200 && !done.load(); ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(done.load()) << "Read blocked behind the hinting reader";
+  hinting.reset();  // releases a pin, were one held, so the join returns
+  other.join();
 }
 
 TEST_F(PoolTest, ConcurrentReadersSeeConsistentData) {

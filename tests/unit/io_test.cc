@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/dataset.h"
+#include "core/distance.h"
+#include "core/knn.h"
 #include "io/counted_storage.h"
 #include "io/disk_model.h"
 #include "io/series_file.h"
@@ -58,6 +60,62 @@ TEST(ChargeHelpers, LeafReadSemantics) {
   EXPECT_EQ(stats.random_seeks, 1);
   EXPECT_EQ(stats.sequential_reads, 100);
   EXPECT_EQ(stats.bytes_read, 6400);
+}
+
+// A leaf as VerifyLeaf reads it by id (`first` matters only with an
+// extent).
+struct TestLeaf {
+  std::vector<core::SeriesId> ids;
+  size_t first = 0;
+};
+
+// In ram VerifyLeaf prefetches row ids[j + 1] while it verifies ids[j]. A
+// one-series leaf has no next row, and a budget cut stops mid-leaf; both
+// must read, answer and charge exactly as a plain by-id loop would.
+TEST(VerifyLeaf, OneSeriesLeafInRam) {
+  const auto data = MakeData(10, 64);
+  const TestLeaf leaf{{7}};
+  const std::vector<core::Value> query(64, 5.0f);
+  const core::QueryOrder order(query);
+  core::KnnHeap heap(3);
+  core::SearchStats stats;
+  VerifyLeaf(&data, nullptr, leaf, order, &heap, &stats);
+  const std::vector<core::Neighbor> got = heap.TakeSorted();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 7u);
+  EXPECT_DOUBLE_EQ(got[0].dist_sq, 64 * 2.0 * 2.0);
+  EXPECT_EQ(stats.random_seeks, 1);
+  EXPECT_EQ(stats.sequential_reads, 1);
+  EXPECT_EQ(stats.bytes_read, static_cast<int64_t>(64 * sizeof(core::Value)));
+  EXPECT_EQ(stats.distance_computations, 1);
+  EXPECT_EQ(stats.raw_series_examined, 1);
+  EXPECT_FALSE(stats.budget_exhausted);
+}
+
+TEST(VerifyLeaf, BudgetCutLeafInRam) {
+  const auto data = MakeData(10, 64);
+  const TestLeaf leaf{{9, 2, 6, 0, 4}};  // scattered rows
+  const std::vector<core::Value> query(64, 5.0f);
+  const core::QueryOrder order(query);
+  core::KnnHeap heap(5);
+  core::SearchStats stats;
+  VerifyLeaf(&data, nullptr, leaf, order, &heap, &stats, /*max_raw=*/3);
+  // The first three rows are verified; the whole leaf is still charged.
+  const std::vector<core::Neighbor> got = heap.TakeSorted();
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].id, 6u);
+  EXPECT_DOUBLE_EQ(got[0].dist_sq, 64 * 1.0);
+  EXPECT_EQ(got[1].id, 2u);
+  EXPECT_DOUBLE_EQ(got[1].dist_sq, 64 * 9.0);
+  EXPECT_EQ(got[2].id, 9u);
+  EXPECT_DOUBLE_EQ(got[2].dist_sq, 64 * 16.0);
+  EXPECT_EQ(stats.random_seeks, 1);
+  EXPECT_EQ(stats.sequential_reads, 5);
+  EXPECT_EQ(stats.bytes_read,
+            static_cast<int64_t>(5 * 64 * sizeof(core::Value)));
+  EXPECT_EQ(stats.distance_computations, 3);
+  EXPECT_EQ(stats.raw_series_examined, 3);
+  EXPECT_TRUE(stats.budget_exhausted);
 }
 
 TEST(DiskModel, HddChargesSeeksHeavily) {

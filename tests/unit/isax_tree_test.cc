@@ -74,10 +74,12 @@ TEST_F(IsaxTreeTest, ApproximateLeafFindsMemberLeaf) {
   for (size_t i = 0; i < data.size(); ++i) {
     tree.Insert(static_cast<core::SeriesId>(i));
   }
+  core::SearchStats stats;
   for (core::SeriesId i = 0; i < 100; ++i) {
     const auto paa = transform::Paa(data[i], segments);
     IsaxTree::Node* leaf = tree.ApproximateLeaf(
-        {words_.data() + i * segments, segments}, paa, 64 / segments);
+        {words_.data() + i * segments, segments}, paa, 64 / segments,
+        &stats);
     ASSERT_NE(leaf, nullptr);
     EXPECT_TRUE(leaf->is_leaf);
     // The series must be in this leaf (it was routed the same way).
@@ -85,6 +87,8 @@ TEST_F(IsaxTreeTest, ApproximateLeafFindsMemberLeaf) {
     for (const auto id : leaf->ids) found |= (id == i);
     EXPECT_TRUE(found) << "series " << i;
   }
+  // A member's first-level node exists: no fallback, no bound computed.
+  EXPECT_EQ(stats.lower_bound_computations, 0);
 }
 
 TEST_F(IsaxTreeTest, ApproximateLeafHandlesUnseenRegion) {
@@ -104,9 +108,15 @@ TEST_F(IsaxTreeTest, ApproximateLeafHandlesUnseenRegion) {
     probe[s] = (s % 2 == 0) ? 255 : 0;
     paa[s] = (s % 2 == 0) ? 4.0 : -4.0;
   }
-  IsaxTree::Node* leaf = tree.ApproximateLeaf(probe, paa, 64 / segments);
+  core::SearchStats stats;
+  IsaxTree::Node* leaf =
+      tree.ApproximateLeaf(probe, paa, 64 / segments, &stats);
   ASSERT_NE(leaf, nullptr);
   EXPECT_FALSE(leaf->ids.empty());
+  // The fallback bounds every first-level node once, and says so.
+  int64_t first_level = 0;
+  tree.ForEachFirstLevel([&](const IsaxTree::Node*) { ++first_level; });
+  EXPECT_EQ(stats.lower_bound_computations, first_level);
 }
 
 TEST_F(IsaxTreeTest, LeavesRespectCapacityWhereSplittable) {
